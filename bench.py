@@ -116,7 +116,6 @@ def run_bench() -> dict:
         lambda b: b, batch_format="pyarrow"
     ).count()
 
-    pool = (2, max(4, NUM_CPUS // 2))
     # build output goes to tmpfs: /tmp is disk-backed here and its I/O
     # jitter adds ±20% run-to-run noise to the measurement
     shm_root = "/dev/shm" if os.path.isdir("/dev/shm") else BENCH_CACHE
@@ -130,8 +129,7 @@ def run_bench() -> dict:
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.monotonic()
         res = build(pages_path, out_dir, gazetteer=gaz, num_partitions=32,
-                    resume=False, batch_size=256, actor_pool=pool,
-                    canonical_map=CANON)
+                    resume=False, batch_size=256, canonical_map=CANON)
         build_legs.append(round(time.monotonic() - t0, 3))
     build_sec = min(build_legs)
     n_triples = pads.dataset(
@@ -170,7 +168,7 @@ def run_bench() -> dict:
             t0 = time.monotonic()
             build(pages_from_warc(warc_dir), warc_out, gazetteer=gaz,
                   num_partitions=32, resume=False, batch_size=256,
-                  actor_pool=pool, canonical_map=CANON)
+                  canonical_map=CANON)
             warc_build_legs.append(round(time.monotonic() - t0, 3))
         shutil.rmtree(warc_out, ignore_errors=True)
         log(f"[bench] WARC-ingest build legs {warc_build_legs}")
@@ -325,12 +323,10 @@ def run_incremental() -> dict:
         batch_format="pyarrow",
     ).write_parquet(late_p)
     n_late = pads.dataset(late_p).count_rows()
-    pool = (2, max(4, NUM_CPUS // 2))
     boot_dir = os.path.join(work, "kg_boot")
     t0 = time.monotonic()
     build(early_p, boot_dir, gazetteer=gaz, num_partitions=32,
-          resume=False, batch_size=256, actor_pool=pool,
-          canonical_map=CANON)
+          resume=False, batch_size=256, canonical_map=CANON)
     boot_sec = round(time.monotonic() - t0, 3)
     legs, applied = [], 0
     for leg in range(2):

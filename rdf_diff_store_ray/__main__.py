@@ -76,7 +76,6 @@ def cmd_build(args) -> int:
         gazetteer=gaz,
         num_partitions=args.partitions,
         resume=not args.no_resume,
-        use_actor_pools=args.actor_pools,
         canonical_map=args.canonical_map,
     )
     print(json.dumps({
@@ -459,9 +458,8 @@ def cmd_query(args) -> int:
 
     reader = DiffStoreReader(_delta_table(args.store, upto_ts=args.ts),
                              services=_parse_services(args.service))
-    fn = {"json": reader.query_at_json, "csv": reader.query_at_csv,
-          "tsv": reader.query_at_tsv}[args.format]
-    print(fn(args.ts, args.bgp), end="" if args.format != "json" else "\n")
+    body, _ = reader.answer(args.ts, args.bgp, args.format)
+    print(body, end="" if args.format != "json" else "\n")
     return 0
 
 
@@ -570,7 +568,6 @@ def main(argv=None) -> int:
                    help="--pages is WARC archive(s): stream-parse "
                         "records, charset-transcode to utf-8, lang-ID "
                         "(pages_from_warc)")
-    b.add_argument("--actor-pools", action="store_true")
     b.add_argument("--canonical-map",
                    choices=["auto", "driver", "distributed"],
                    default="auto",

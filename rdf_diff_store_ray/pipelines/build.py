@@ -4,15 +4,15 @@ Stage graph (streaming execution, backpressured; ONE corpus-scale shuffle)::
 
     read_parquet(pages, columns=[url, warc_ts, html, text, lang])
       └─ map_batches(extract_batch)            # stateless, zero-copy Arrow; digest invariant
-      └─ map_batches(PageRelations, actors)    # NER + relation extraction → nested triples
+      └─ map_batches(page_relations_batch)     # NER + relation extraction → nested triples
       └─ write_parquet(run_dir/raw)            # stage checkpoint (reused on resume)
     raw ─ canonicalize (vocabulary-scale shuffle) → surface→IRI map
         → persisted to canonical_map.json, ray.put once (broadcast)
     raw ─ filter completed partitions (resume prune at the read)
-        ─ map_batches(VersionSerializer, actors)  # per-(url, ts) snapshot, NO shuffle
+        ─ map_batches(serialize_versions_batch)  # per-(url, ts) snapshot, NO shuffle
         ─ add partition_id = stable_hash(url) % P
         ─ groupby(partition_id).map_groups(DeltaPartitionWriter)   # THE shuffle + sink
-    raw ─ map_batches(TripleEmitter, actors) → write_parquet(run_dir/triples)
+    raw ─ map_batches(emit_triples_batch) → write_parquet(run_dir/triples)
 
 Scale notes: the nested-per-page layout keeps version serialization
 shuffle-free; the canonicalization shuffle runs over the surface
@@ -42,8 +42,6 @@ from ..stages.canonicalize import build_canonical_map
 from ..stages import link as link_mod
 from ..stages import ner as ner_mod
 from ..stages.extract import extract_batch
-from ..stages.link import TripleEmitter, VersionSerializer
-from ..stages.ner import PageRelations
 
 PAGE_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
 
@@ -123,10 +121,8 @@ def build(
     num_partitions: int = 16,
     resume: bool = True,
     batch_size: int = 1024,
-    actor_pool: tuple = (1, 8),
     enforce_digest: str = "raise",
     write_triples: bool = True,
-    use_actor_pools: bool = False,
     canonical_map: str = "auto",
     auto_vocab_threshold: int | None = None,
 ) -> BuildResult:
@@ -134,16 +130,11 @@ def build(
 
     Ray must already be initialised by the caller (driver-owned session).
 
-    ``use_actor_pools``: the NER / linker / serializer stages exist in two
-    forms with identical semantics — dedicated actor pools (setup in
-    ``__init__`` once per actor) and task-mode functions whose state is
-    memoized once per shared-pool worker. The default is task mode: this
-    build's per-worker setup is cheap (compiled regexes + two small
-    broadcast dicts fetched once via ``ray.get``), so paying a fresh
-    actor-process spawn per stage per run costs far more than it saves.
-    Flip to ``True`` when the stage state is genuinely expensive to build
-    (model weights, a large candidate index) — then amortizing it across
-    an actor's lifetime wins.
+    The NER / linker / serializer stages run as task-mode functions whose
+    state is memoized once per shared-pool worker: their per-worker setup
+    is cheap (compiled regexes + two small broadcast dicts fetched once
+    via ``ray.get``), so a dedicated actor pool per stage would pay a
+    fresh process spawn per run for nothing.
 
     ``canonical_map``: ``"driver"`` reduces the surface vocabulary to a
     dict on the driver and broadcasts it — right while the vocabulary is
@@ -209,19 +200,11 @@ def build(
             batch_format="pyarrow",
             batch_size=batch_size,
         )
-        if use_actor_pools:
-            raw = extracted.map_batches(
-                PageRelations,
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=actor_pool,
-            )
-        else:
-            raw = extracted.map_batches(
-                ner_mod.page_relations_batch,
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            )
+        raw = extracted.map_batches(
+            ner_mod.page_relations_batch,
+            batch_format="pyarrow",
+            batch_size=batch_size,
+        )
         shutil.rmtree(raw_dir, ignore_errors=True)
         raw.write_parquet(raw_dir)
         with open(raw_success, "w") as f:
@@ -368,27 +351,15 @@ def build(
             },
             batch_format="pyarrow",
         )
-    if use_actor_pools:
-        serialized = todo_ds.map_batches(
-            VersionSerializer,
-            fn_constructor_kwargs={
-                "gazetteer_ref": gaz_ref,
-                "canonical_map_ref": canon_ref,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=actor_pool,
-        )
-    else:
-        serialized = todo_ds.map_batches(
-            link_mod.serialize_versions_batch,
-            fn_kwargs={
-                "gazetteer_ref": gaz_ref,
-                "canonical_map_ref": canon_ref,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
+    serialized = todo_ds.map_batches(
+        link_mod.serialize_versions_batch,
+        fn_kwargs={
+            "gazetteer_ref": gaz_ref,
+            "canonical_map_ref": canon_ref,
+        },
+        batch_format="pyarrow",
+        batch_size=batch_size,
+    )
     versions = serialized.map_batches(
         add_partition_id,
         fn_kwargs={"key": "graph_id", "num_partitions": num_partitions},
@@ -411,28 +382,15 @@ def build(
             return None
         triples_dir = os.path.join(out_dir, "triples")
         shutil.rmtree(triples_dir, ignore_errors=True)
-        if use_actor_pools:
-            emitted = raw_ds.map_batches(
-                TripleEmitter,
-                fn_constructor_kwargs={
-                    "gazetteer_ref": gaz_ref,
-                    "canonical_map_ref": canon_ref,
-                },
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=actor_pool,
-            )
-        else:
-            emitted = raw_ds.map_batches(
-                link_mod.emit_triples_batch,
-                fn_kwargs={
-                    "gazetteer_ref": gaz_ref,
-                    "canonical_map_ref": canon_ref,
-                },
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            )
-        emitted.write_parquet(triples_dir)
+        raw_ds.map_batches(
+            link_mod.emit_triples_batch,
+            fn_kwargs={
+                "gazetteer_ref": gaz_ref,
+                "canonical_map_ref": canon_ref,
+            },
+            batch_format="pyarrow",
+            batch_size=batch_size,
+        ).write_parquet(triples_dir)
         return None
 
     # stages 3b and 4 are independent consumers of raw_ds — run their two

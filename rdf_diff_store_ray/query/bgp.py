@@ -39,6 +39,7 @@ import pyarrow as pa
 
 from ..state import reconstruct
 from ..shuffle_utils import drop_duplicates_nul_safe as _ddsafe
+from .front import AsOfReads, ts_key
 
 
 class LRU:
@@ -1911,34 +1912,7 @@ def eval_bgp(triples: pa.Table, query: str,
     KIND, which finalization deliberately drops. Plain SELECT groups
     only (:func:`_tagged_result`)."""
     group = parse_query(query)
-
-    # federation: SERVICE <iri> { ... } evaluates against a registered
-    # endpoint — a triple TABLE (in-process, evaluated here) or a str
-    # URL (HTTP SPARQL protocol, sub-pattern shipped verbatim). An
-    # unregistered http(s) IRI dereferences ITSELF as the endpoint, the
-    # oxigraph behavior (src/query.rs:102-114). The table→pandas
-    # conversion is lazy and memoized per iri.
-    svc_cache: dict = {}
-
-    def service_eval(iri, sub):
-        tbl = (service_tables or {}).get(iri)
-        if tbl is None and iri.startswith(("http://", "https://")):
-            tbl = iri
-        if tbl is None:
-            raise ValueError(f"unknown SERVICE endpoint <{iri}>")
-        if isinstance(tbl, str):
-            raw = sub.get("raw_text")
-            if raw is None:
-                raise ValueError(
-                    "HTTP SERVICE needs the raw sub-pattern text "
-                    "(query was not parsed by this engine)")
-            return http_service_bindings(tbl, raw)
-        if iri not in svc_cache:
-            svc_cache[iri] = tbl.to_pandas()
-        sdf = svc_cache[iri]
-        ssource = lambda pat: eval_one_pattern(sdf, pat)  # noqa: E731
-        return eval_group(sub, ssource, None, service_eval)
-
+    service_eval = service_evaluator(service_tables)
     fg, fn = group.get("from_graphs"), group.get("from_named")
     if fg or fn:
         # explicit dataset: default graph = set-union of the FROM graphs
@@ -2090,19 +2064,54 @@ def tagged_from_wire(text: str) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=cols, dtype=object)
 
 
-def collect_service_iris(group: dict) -> set:
-    """Every SERVICE endpoint IRI anywhere in the group tree."""
-    out = {iri for _, iri, _ in group.get("services") or []}
-    subs = [sub for _s, _i, sub in group.get("services") or []]
-    subs.extend(group.get("optionals") or [])
-    subs.extend(b for branches in group.get("unions") or [] for b in branches)
-    subs.extend(group.get("minus") or [])
-    subs.extend(eg for _, eg in group.get("exists") or [])
-    subs.extend(group.get("subqueries") or [])
-    subs.extend(g for _, g in group.get("graphs") or [])
-    for s in subs:
-        out |= collect_service_iris(s)
-    return out
+def walk_groups(group: dict):
+    """``group`` and every group nested anywhere inside it: OPTIONAL,
+    UNION, MINUS, EXISTS, GRAPH and SERVICE bodies, subqueries, and the
+    ``("exists", positive, group)`` atoms that expression-level EXISTS
+    leaves inside FILTER, BIND, projection, HAVING and ORDER BY
+    expressions. Any dict carrying ``patterns`` is a group, so a new
+    clause kind is walked without touching this function."""
+    yield group
+    todo = list(group.values())
+    while todo:
+        v = todo.pop()
+        if isinstance(v, dict):
+            if "patterns" in v:
+                yield from walk_groups(v)
+            else:
+                todo.extend(v.values())
+        elif isinstance(v, (list, tuple)):
+            todo.extend(v)
+
+
+def service_evaluator(endpoints: "dict | None"):
+    """``service_eval(iri, sub)`` over resolved SERVICE endpoints: a
+    triple TABLE is evaluated here (converted to pandas once per iri),
+    a str URL is asked over HTTP with the sub-pattern shipped verbatim.
+    An unregistered http(s) IRI dereferences ITSELF as the endpoint, the
+    oxigraph behavior (``src/query.rs:102-114``)."""
+    frames: dict = {}
+
+    def service_eval(iri, sub):
+        ep = (endpoints or {}).get(iri)
+        if ep is None and iri.startswith(("http://", "https://")):
+            ep = iri
+        if ep is None:
+            raise ValueError(f"unknown SERVICE endpoint <{iri}>")
+        if isinstance(ep, str):
+            raw = sub.get("raw_text")
+            if raw is None:
+                raise ValueError(
+                    "HTTP SERVICE needs the raw sub-pattern text "
+                    "(query was not parsed by this engine)")
+            return http_service_bindings(ep, raw)
+        if iri not in frames:
+            frames[iri] = ep.to_pandas()
+        sdf = frames[iri]
+        return eval_group(sub, lambda pat: eval_one_pattern(sdf, pat),
+                          None, service_eval)
+
+    return service_eval
 
 
 def finish_query(result: pd.DataFrame, group: dict,
@@ -2923,19 +2932,6 @@ def format_path(ast) -> str:
     return f"({sep.join(format_path(b) for b in ast[1])})"
 
 
-def group_has_path(group: dict) -> bool:
-    """True when any pattern anywhere in the group tree uses a property
-    path (such queries cannot be evaluated per-partition)."""
-    if any(p[1][0] == "path" for p in group["patterns"]):
-        return True
-    subgroups = list(group["optionals"])
-    subgroups.extend(b for branches in group["unions"] for b in branches)
-    subgroups.extend(group.get("minus") or [])
-    subgroups.extend(g for _pos, g in group.get("exists") or [])
-    subgroups.extend(group.get("subqueries") or [])
-    return any(group_has_path(g) for g in subgroups)
-
-
 def format_pattern(pattern) -> str:
     return " ".join(format_term(t) for t in pattern)
 
@@ -3150,36 +3146,6 @@ def eval_subquery(sub: dict, pattern_bindings,
     if limit is not None:
         res = res.iloc[:limit]
     return res.reset_index(drop=True)
-
-
-def group_has_graph(group: dict) -> bool:
-    """True when any group in the tree (OPTIONAL/UNION/MINUS/EXISTS
-    branches included) carries a GRAPH clause — callers use it to decide
-    whether the quad view must be built at all."""
-    if group.get("graphs"):
-        return True
-    subs = list(group.get("optionals") or [])
-    subs.extend(b for branches in group.get("unions") or [] for b in branches)
-    subs.extend(group.get("minus") or [])
-    subs.extend(eg for _, eg in group.get("exists") or [])
-    subs.extend(group.get("subqueries") or [])
-    return any(group_has_graph(s) for s in subs)
-
-
-def group_has_service(group: dict) -> bool:
-    """True when any group in the tree carries a SERVICE clause —
-    callers use it to decide whether federated endpoint tables must be
-    reconstructed at all. SERVICE sub-groups themselves count (nested
-    federation shares the endpoint namespace)."""
-    if group.get("services"):
-        return True
-    subs = list(group.get("optionals") or [])
-    subs.extend(b for branches in group.get("unions") or [] for b in branches)
-    subs.extend(group.get("minus") or [])
-    subs.extend(eg for _, eg in group.get("exists") or [])
-    subs.extend(group.get("subqueries") or [])
-    subs.extend(g for _, g in group.get("graphs") or [])
-    return any(group_has_service(s) for s in subs)
 
 
 def eval_pattern_in_graph(qdf: pd.DataFrame, pattern, gterm) -> pd.DataFrame:
@@ -4189,55 +4155,28 @@ def http_service_bindings(endpoint: str, raw_pattern: str) -> pd.DataFrame:
     return tagged_from_tsv(body)
 
 
-class DiffStoreReader:
+class DiffStoreReader(AsOfReads):
     """Cached reader over a delta-log table (one partition or a whole small
-    store). Cache levels mirror the reference's ``CacheLevel``
-    (``src/query.rs:14-26``): "Query"/"Prettified" > "Store"/"Graph" >
-    "Nothing"."""
+    store) behind the shared as-of front door (:mod:`.front`). Its
+    state caches mirror the reference's ``QueryCache``
+    (``src/query.rs:28-43``): instant → triple table / quad table /
+    merged document, beside the front door's (ts, query) cache."""
 
     def __init__(self, deltas: pa.Table, cache_capacity: int = 1000,
                  registry=None, services: "dict | None" = None):
-        from ..metrics import REGISTRY
-
+        # services: iri → DiffStoreReader over ANOTHER store (in-process;
+        # SERVICE evaluates there at the SAME timestamp — shared version
+        # axis, the federated analog of the reference's one-repo-per-store
+        # pool), a store directory, or the str URL of a live `serve`
+        # process (HTTP SPARQL protocol)
+        super().__init__(services, registry, cache_capacity)
         self.deltas = deltas
-        # federation endpoints: iri → DiffStoreReader over ANOTHER store
-        # (in-process; SERVICE evaluates there at the SAME timestamp —
-        # shared version axis, the federated analog of the reference's
-        # one-repo-per-store pool) OR a str URL of a live `serve`
-        # process (HTTP SPARQL protocol; a bare server root also
-        # federates at the same timestamp via /api/sparql/{ts}, an
-        # explicit path is queried verbatim). Unregistered http(s)
-        # SERVICE IRIs dereference themselves, the oxigraph behavior.
-        self.services = services or {}
         self.store_cache = LRU(cache_capacity)  # ts -> triple table
         self.quads_cache = LRU(cache_capacity)  # ts -> quad table (GRAPH)
         self.graphs_cache = LRU(cache_capacity)  # ts -> canonical text
-        self.query_cache = LRU(cache_capacity)  # (ts, q) -> bindings df
-        self.last_cache_level: str = "Nothing"
-        self.registry = REGISTRY if registry is None else registry
-
-    def _record(self, endpoint: str, level: str, wall_s: float) -> None:
-        """Cache-level counters + latency histograms — the reference's
-        HTTP middleware labels (``src/metrics/middleware.rs:50-89``) and
-        query-time envelope (``src/metrics/mod.rs:29-36``)."""
-        from ..metrics import BUCKETS_FAST
-
-        self.registry.counter_inc(
-            "cache_requests_total",
-            f'endpoint="{endpoint}",cache_level="{level}"',
-        )
-        self.registry.observe("query_processing_time", wall_s,
-                              "Query Processing Times", BUCKETS_FAST)
-
-    def _key(self, ts) -> int:
-        import numpy as np
-
-        if isinstance(ts, (int, np.integer)):
-            return int(ts)
-        return int(pd.Timestamp(ts).timestamp())
 
     def _store_at(self, ts) -> pa.Table:
-        k = self._key(ts)
+        k = ts_key(ts)
         hit = self.store_cache.get(k)
         if hit is not None:
             return hit
@@ -4246,7 +4185,7 @@ class DiffStoreReader:
         return store
 
     def _quads_at(self, ts) -> pa.Table:
-        k = self._key(ts)
+        k = ts_key(ts)
         hit = self.quads_cache.get(k)
         if hit is not None:
             return hit
@@ -4254,134 +4193,40 @@ class DiffStoreReader:
         self.quads_cache.put(k, quads)
         return quads
 
-    def graphs_at(self, ts) -> str:
-        import time
+    def _store_warm(self, k: int) -> bool:
+        return self.store_cache.get(k) is not None
 
-        t0 = time.monotonic()
-        k = self._key(ts)
+    def _graphs_text(self, k: int) -> "tuple[str, str]":
         hit = self.graphs_cache.get(k)
         if hit is not None:
-            self.last_cache_level = "Prettified"
-            self._record("graphs", "Prettified", time.monotonic() - t0)
-            return hit
-        had_store = self.store_cache.get(k) is not None
+            return hit, "Prettified"
+        level = "Graph" if self._store_warm(k) else "Nothing"
         from ..ntriples import serialize
 
-        store = self._store_at(k)
         text = serialize(
             (r["subj"], r["pred"], r["obj"], r["obj_is_literal"])
-            for r in store.to_pylist()
+            for r in self._store_at(k).to_pylist()
         )
         self.graphs_cache.put(k, text)
-        self.last_cache_level = "Graph" if had_store else "Nothing"
-        self._record("graphs", self.last_cache_level, time.monotonic() - t0)
-        return text
+        return text, level
 
-    def _svc_tables(self, g: dict, k: int) -> "dict | None":
-        """Endpoint map for one evaluation: registered readers resolve
-        to their store-at-k tables, registered HTTP URLs to wire
-        endpoints (a bare server root federates at the SAME timestamp
-        via /api/sparql/{k}; an explicit path is used verbatim — that
-        endpoint's latest state)."""
-        if not (self.services and group_has_service(g)):
+    def _evaluate(self, group: dict, query: str, k: int,
+                  endpoints: "dict | None", finalize: bool) -> pd.DataFrame:
+        need_quads = (group.get("from_graphs") or group.get("from_named")
+                      or any(g.get("graphs") for g in walk_groups(group)))
+        return eval_bgp(self._store_at(k), query,
+                        quads=self._quads_at(k) if need_quads else None,
+                        service_tables=endpoints, finalize=finalize)
+
+    def graph_at(self, graph_id: str, ts) -> "str | None":
+        """One graph's live canonical text at ``ts`` (None if absent)."""
+        import pyarrow.compute as pc
+
+        live = reconstruct.state_at_table(self.deltas, ts_key(ts))
+        hit = live.filter(pc.equal(live["graph_id"], graph_id))
+        if hit.num_rows == 0:
             return None
-        from urllib.parse import urlparse as _up
-
-        svc = {}
-        for iri, r in self.services.items():
-            if isinstance(r, str):
-                svc[iri] = (
-                    f"{r.rstrip('/')}/api/sparql/{k}"
-                    if _up(r).path in ("", "/") else r
-                )
-            else:
-                svc[iri] = r._store_at(k)
-        return svc
-
-    def _wire_latest(self, g: dict) -> bool:
-        """True when evaluating this query touches a LATEST-STATE wire
-        endpoint (an explicit-path registered URL, or an unregistered
-        http(s) SERVICE IRI dereferencing itself): such results are
-        time-varying inputs and must never enter the per-(ts, query)
-        cache."""
-        if not group_has_service(g):
-            return False
-        from urllib.parse import urlparse as _up
-
-        iris = collect_service_iris(g)
-        for iri in iris:
-            r = self.services.get(iri)
-            if r is None:
-                if iri.startswith(("http://", "https://")):
-                    return True
-            elif isinstance(r, str) and _up(r).path not in ("", "/"):
-                return True
-        return False
-
-    def query_at(self, ts, query: str) -> pd.DataFrame:
-        import time
-
-        t0 = time.monotonic()
-        k = self._key(ts)
-        # latest-state wire endpoints make the result time-varying: the
-        # (ts, query) cache is bypassed on both read and write. The
-        # substring guard keeps the hot non-federated path parse-free.
-        g = parse_query(query) if "SERVICE" in query.upper() else None
-        cacheable = g is None or not self._wire_latest(g)
-        if cacheable:
-            hit = self.query_cache.get((k, query))
-            if hit is not None:
-                self.last_cache_level = "Query"
-                self._record("sparql", "Query", time.monotonic() - t0)
-                return hit
-        had_store = self.store_cache.get(k) is not None
-        if g is None:
-            g = parse_query(query)
-        need_quads = (group_has_graph(g) or g.get("from_graphs")
-                      or g.get("from_named"))
-        quads = self._quads_at(k) if need_quads else None
-        svc = self._svc_tables(g, k)
-        _now_slot()[0] = pd.Timestamp(k, unit="s")
-        try:
-            res = eval_bgp(self._store_at(k), query, quads=quads,
-                           service_tables=svc)
-        finally:
-            _now_slot()[0] = None
-        if cacheable:
-            self.query_cache.put((k, query), res)
-        self.last_cache_level = "Store" if had_store else "Nothing"
-        self._record("sparql", self.last_cache_level, time.monotonic() - t0)
-        return res
-
-    def query_at_tagged_wire(self, ts, query: str) -> str:
-        """The engine-to-engine federation surface
-        (``application/x-kg-tagged-tsv``): evaluate WITHOUT finalizing
-        and serialize the tagged bindings exactly — term kind survives
-        the hop, so a remote IRI-shaped plain literal never joins a
-        local IRI. Plain SELECT queries only (the federation client
-        ships ``SELECT * WHERE {...}``); uncached."""
-        k = self._key(ts)
-        g = parse_query(query)
-        need_quads = (group_has_graph(g) or g.get("from_graphs")
-                      or g.get("from_named"))
-        quads = self._quads_at(k) if need_quads else None
-        svc = self._svc_tables(g, k)
-        _now_slot()[0] = pd.Timestamp(k, unit="s")
-        try:
-            res = eval_bgp(self._store_at(k), query, quads=quads,
-                           service_tables=svc, finalize=False)
-        finally:
-            _now_slot()[0] = None
-        return tagged_wire(res)
-
-    def query_at_json(self, ts, query: str) -> str:
-        return bindings_json(self.query_at(ts, query))
-
-    def query_at_csv(self, ts, query: str) -> str:
-        return bindings_csv(self.query_at(ts, query))
-
-    def query_at_tsv(self, ts, query: str) -> str:
-        return bindings_tsv(self.query_at(ts, query))
+        return hit["delta_text"][0].as_py()
 
     def diff(self, ts1, ts2) -> pd.DataFrame:
         """Triples added/removed between two store versions — the
@@ -4389,8 +4234,9 @@ class DiffStoreReader:
         diff, one git commit per change, ``src/git.rs:151-190``).
         ``(graph_id, change, line)`` sorted, uncached (arbitrary ts
         pairs would thrash an LRU keyed by single instants)."""
-        return reconstruct.diff_table(self.deltas, self._key(ts1),
-                                      self._key(ts2)).to_pandas()
+        return reconstruct.diff_table(self.deltas, ts_key(ts1),
+                                      ts_key(ts2)).to_pandas()
 
     def metadata(self):
         return reconstruct.metadata_table(self.deltas)
+

@@ -19,10 +19,11 @@ and BGP matching are therefore per-partition-local:
 - ``graphs_at``: union of per-partition canonical N-Triples documents =
   sorted-unique merge of their lines (set-union semantics of the
   reference's merged store, ``src/query.rs:127-139``);
-- ``query_at``: a single-pattern BGP is evaluated per partition against
-  that partition's live triples and the bindings are concatenated,
-  deduplicated and sorted (exact — a single pattern never joins across
-  partitions). A MULTI-pattern / OPTIONAL query pushes EACH pattern
+- ``query_at``: a single-pattern query with row-local filters and no
+  nested group is evaluated per partition against that partition's live
+  triples and the bindings are concatenated, deduplicated and sorted
+  (exact — a single pattern never joins across partitions). Any other
+  query (joins, OPTIONAL, EXISTS, SERVICE, …) pushes EACH pattern
   down the same way and joins the unioned tagged binding sets on the
   router with the local evaluator's own algebra — router memory is
   bounded by per-pattern selectivity, never by live-state size (an
@@ -40,9 +41,10 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from ..shuffle_utils import drop_duplicates_nul_safe as _ddsafe
 from ..shuffle_utils import sort_values_nul_safe
 from .bgp import DiffStoreReader
-from ..shuffle_utils import drop_duplicates_nul_safe as _ddsafe
+from .front import AsOfReads, ts_key
 
 
 @ray.remote
@@ -58,21 +60,7 @@ class PartitionReaderActor:
         return self.reader.query_at(ts, query)
 
     def graph_at(self, graph_id: str, ts):
-        """One graph's live canonical text at ``ts`` (None if absent)."""
-        import pyarrow.compute as pc
-
-        from ..state.reconstruct import state_at_table
-
-        live = state_at_table(self.reader.deltas, ts)
-        hit = live.filter(pc.equal(live["graph_id"], graph_id))
-        if hit.num_rows == 0:
-            return None
-        return hit["delta_text"][0].as_py()
-
-    def triples_at(self, ts) -> pa.Table:
-        """This partition's live triple table at ``ts`` (for the router's
-        opt-in gather path); served from the store cache."""
-        return self.reader._store_at(ts)
+        return self.reader.graph_at(graph_id, ts)
 
     def pattern_bindings(self, ts, pattern_str: str) -> pd.DataFrame:
         """TAGGED bindings of ONE pattern against this partition's live
@@ -80,7 +68,7 @@ class PartitionReaderActor:
         path. Cached per (ts, pattern) beside the query cache."""
         from .bgp import eval_one_pattern, parse_query
 
-        k = self.reader._key(ts)
+        k = ts_key(ts)
         key = (k, pattern_str, "tagged")
         hit = self.reader.query_cache.get(key)
         if hit is not None:
@@ -98,7 +86,7 @@ class PartitionReaderActor:
         partition, so graph-scoped matches never cross partitions."""
         from .bgp import _parse_term, eval_pattern_in_graph, parse_query
 
-        k = self.reader._key(ts)
+        k = ts_key(ts)
         key = (k, gterm_str, pattern_str, "graph")
         hit = self.reader.query_cache.get(key)
         if hit is not None:
@@ -116,7 +104,7 @@ class PartitionReaderActor:
         universe (``*``/``?``). Cached per ts beside the query cache."""
         from .bgp import graph_node_terms
 
-        k = self.reader._key(ts)
+        k = ts_key(ts)
         key = (k, "__node_terms__")
         hit = self.reader.query_cache.get(key)
         if hit is None:
@@ -154,10 +142,37 @@ class PartitionReaderActor:
         return self.reader.last_cache_level
 
 
-class QueryService:
-    """Router over one :class:`PartitionReaderActor` per partition."""
+def _per_partition(g: dict) -> bool:
+    """True when a query's answer is the sorted, deduplicated union of
+    its per-partition answers: one non-path pattern whose FILTERs are
+    row-local (no nested group anywhere — expression-level EXISTS
+    included — since a nested group may join across partitions), and no
+    solution modifier, which must apply once after the merge. Property
+    paths never qualify: a transitive chain may cross partitions."""
+    from .bgp import walk_groups
+
+    pats = g["patterns"]
+    return (len(pats) == 1 and pats[0][1][0] != "path"
+            and not g.get("values") and not g.get("binds")
+            and all(sub is g for sub in walk_groups(g))
+            and g.get("select") is None and not g.get("distinct")
+            and not g.get("order_by") and g.get("limit") is None
+            and not g.get("offset") and not g.get("ask")
+            and g.get("construct") is None and g.get("describe") is None)
+
+
+class QueryService(AsOfReads):
+    """Router over one :class:`PartitionReaderActor` per partition,
+    behind the same as-of front door as the in-process reader
+    (:mod:`.front`): one (ts, query) LRU, cacheability rule, NOW slot,
+    endpoint resolution, metrics and result formats. SERVICE endpoints
+    (a reader, a store directory loaded on first use, or a live
+    server's URL) resolve on the router — endpoint stores are assumed
+    router-sized vocabularies/metadata; a corpus-scale endpoint should
+    be its own server behind SERVICE."""
 
     def __init__(self, delta_dir: str, services: "dict | None" = None):
+        super().__init__(services)
         self.partition_dirs = sorted(
             d for d in glob.glob(os.path.join(delta_dir, "partition=*"))
             if os.path.isdir(d)
@@ -172,102 +187,55 @@ class QueryService:
         ]
         from .bgp import LRU
 
-        self._gather_cache = LRU(64)  # ts -> unioned live triple table
-        self._query_cache = LRU(1000)  # (ts, query) -> final frame
-        # federation endpoints: iri → DiffStoreReader OR a store dir
-        # path (loaded lazily on the router — endpoint stores are
-        # assumed router-sized vocabularies/metadata; a corpus-scale
-        # endpoint should be its own QueryService behind SERVICE)
-        self._services = dict(services or {})
+        # instants this router has read at → "store" / "graphs": its cache
+        # levels follow the call sequence exactly as the in-process
+        # reader's store/graphs caches do (same capacity)
+        self._instants = LRU(self.query_cache.cap)
 
-    def _service_reader(self, iri: str):
-        import pyarrow.dataset as pads
-
-        from .bgp import DiffStoreReader
-
-        r = self._services.get(iri)
-        if r is None:
-            raise ValueError(f"unknown SERVICE endpoint <{iri}>")
-        if isinstance(r, str):
-            files = sorted(
-                glob.glob(os.path.join(r, "partition=*", "*.parquet")))
-            if not files:
-                raise ValueError(f"no delta partitions under {r!r}")
-            r = DiffStoreReader(pads.dataset(files).to_table())
-            self._services[iri] = r
-        return r
-
+    # defined on the class itself, not only inherited: the traced
+    # benchmark patches QueryService.__dict__ (perfbench/tracing.py)
     def query_at(self, ts, query: str) -> pd.DataFrame:
-        from .bgp import parse_query
+        return AsOfReads.query_at(self, ts, query)
 
-        key = (
-            ts if isinstance(ts, int) else int(pd.Timestamp(ts).timestamp()),
-            query,
-        )
-        hit = self._query_cache.get(key)
-        if hit is not None:
-            return hit
-        from .bgp import _now_slot
+    def graphs_at(self, ts) -> str:
+        return AsOfReads.graphs_at(self, ts)
 
-        _now_slot()[0] = pd.Timestamp(key[0], unit="s")
-        try:
-            out = self._query_at_uncached(ts, query)
-        finally:
-            _now_slot()[0] = None
-        self._query_cache.put(key, out)
-        return out
+    def _store_warm(self, k: int) -> bool:
+        if self._instants.get(k) is not None:
+            return True
+        self._instants.put(k, "store")
+        return False
 
-    def query_at_json(self, ts, query: str) -> str:
-        from .bgp import bindings_json
+    def _graphs_text(self, k: int) -> "tuple[str, str]":
+        seen = self._instants.get(k)
+        level = {"graphs": "Prettified", "store": "Graph"}.get(seen,
+                                                                "Nothing")
+        self._instants.put(k, "graphs")
+        texts = ray.get([a.graphs_at.remote(k) for a in self.actors])
+        lines = sorted({ln for t in texts for ln in t.splitlines() if ln})
+        return ("\n".join(lines) + "\n" if lines else ""), level
 
-        return bindings_json(self.query_at(ts, query))
+    def _evaluate(self, g: dict, query: str, k: int,
+                  endpoints: "dict | None", finalize: bool) -> pd.DataFrame:
+        # a query the partitions can answer alone runs in the actors and
+        # the answers are unioned; everything else pushes each pattern
+        # down and joins BINDINGS on the router, which never holds live
+        # triples, only per-pattern binding sets. SERVICE endpoints live
+        # on the router, so SERVICE always takes the push-down path.
+        if finalize and not endpoints and (len(self.actors) == 1
+                                           or _per_partition(g)):
+            parts = ray.get([a.query_at.remote(k, query)
+                             for a in self.actors])
+            if len(parts) == 1:
+                return parts[0]
+            merged = _ddsafe(pd.concat(parts, ignore_index=True),
+                             ignore_index=True)
+            return merged.sort_values(list(merged.columns),
+                                      ignore_index=True)
+        return self._push_down(k, g, endpoints, finalize)
 
-    def query_at_csv(self, ts, query: str) -> str:
-        from .bgp import bindings_csv
-
-        return bindings_csv(self.query_at(ts, query))
-
-    def query_at_tsv(self, ts, query: str) -> str:
-        from .bgp import bindings_tsv
-
-        return bindings_tsv(self.query_at(ts, query))
-
-    def _query_at_uncached(self, ts, query: str) -> pd.DataFrame:
-        from .bgp import parse_query
-
-        g = parse_query(query)
-        # a single pattern (filters are row-local, so they distribute
-        # over the union) is evaluated per partition and unioned; joins
-        # and OPTIONAL push each pattern down and join BINDINGS on the
-        # router — the router never holds live triples, only per-pattern
-        # binding sets (bounded by each pattern's selectivity). SELECT
-        # solution modifiers (projection/LIMIT/OFFSET) must apply AFTER
-        # the merge, so any modifier routes through the distributed path
-        # where finalize runs once on the router.
-        from .bgp import group_has_path
-
-        simple = (len(g["patterns"]) == 1 and not g["optionals"]
-                  and not g["unions"] and not g.get("minus")
-                  and not g.get("values") and not g.get("binds")
-                  and not g.get("exists") and not g.get("graphs")
-                  and not g.get("subqueries"))
-        has_mods = (g.get("select") is not None or g.get("distinct")
-                    or g.get("order_by") or g.get("limit") is not None
-                    or g.get("offset") or g.get("ask")
-                    or g.get("construct") is not None
-                    or g.get("describe") is not None)
-        if len(self.actors) == 1:
-            return ray.get(self.actors[0].query_at.remote(ts, query))
-        # property paths are never per-partition evaluable (a transitive
-        # chain may cross partitions) — route to the push-down path,
-        # which gathers the path's base EDGES and closes on the router
-        if not simple or has_mods or group_has_path(g):
-            return self._query_at_distributed(ts, g)
-        parts = ray.get([a.query_at.remote(ts, query) for a in self.actors])
-        merged = _ddsafe(pd.concat(parts, ignore_index=True), ignore_index=True)
-        return merged.sort_values(list(merged.columns), ignore_index=True)
-
-    def _query_at_distributed(self, ts, group: dict) -> pd.DataFrame:
+    def _push_down(self, ts, group: dict, endpoints: "dict | None",
+                   finalize: bool) -> pd.DataFrame:
         """Multi-pattern / OPTIONAL evaluation with per-pattern push-down:
         every pattern is evaluated against each partition's live triples
         IN the partition actor; the router unions the tagged binding sets
@@ -279,12 +247,14 @@ class QueryService:
         ``?s ?p ?o`` pattern still transfers everything, exactly as the
         reference's full-store load does (``src/query.rs:117-145``)."""
         from .bgp import (
+            _tagged_result,
             bindings_from_pairs,
             eval_group,
             eval_path_pairs,
             finish_query,
             format_pattern,
             format_term,
+            service_evaluator,
         )
 
         def gather_pattern(pat):
@@ -416,106 +386,11 @@ class QueryService:
         else:
             graph_bindings = graph_pattern_in
 
-        def service_eval(iri, sub):
-            # the endpoint is ANOTHER store: a registered reader/dir is
-            # evaluated on the router at the same ts (a corpus-scale
-            # endpoint would be its own QueryService); an http(s) URL —
-            # registered or the IRI itself — federates over the wire
-            # (bare server root → /api/sparql/{ts}, same version axis)
-            from .bgp import eval_one_pattern, http_service_bindings
-
-            ep = self._services.get(iri)
-            registered = ep is not None
-            if ep is None and iri.startswith(("http://", "https://")):
-                ep = iri
-            if isinstance(ep, str) and ep.startswith(("http://",
-                                                      "https://")):
-                from urllib.parse import urlparse
-
-                key = (ts if isinstance(ts, int)
-                       else int(pd.Timestamp(ts).timestamp()))
-                # only a REGISTERED bare server root gets the same-ts
-                # rewrite; an unregistered IRI dereferences VERBATIM
-                # (oxigraph behavior — and exactly what the single-
-                # reader path does, so the two backends agree)
-                url = (f"{ep.rstrip('/')}/api/sparql/{key}"
-                       if registered and urlparse(ep).path in ("", "/")
-                       else ep)
-                raw = sub.get("raw_text")
-                if raw is None:
-                    raise ValueError(
-                        "HTTP SERVICE needs the raw sub-pattern text")
-                return http_service_bindings(url, raw)
-            rdr = self._service_reader(iri)
-            sdf = rdr._store_at(ts).to_pandas()
-            src = lambda pat: eval_one_pattern(sdf, pat)  # noqa: E731
-            return eval_group(sub, src, None, service_eval)
-
-        return finish_query(
-            eval_group(group, pattern_bindings, graph_bindings,
-                       service_eval),
-            group, pattern_bindings
-        )
-
-    def _query_at_gathered(self, ts, query: str) -> pd.DataFrame:
-        """Opt-in fallback: gather per-partition live triples and run the
-        local evaluator over the union (live-state-sized transfer; kept
-        for diagnostics and tiny stores)."""
-        from .bgp import eval_bgp
-
-        key = ts if isinstance(ts, int) else int(pd.Timestamp(ts).timestamp())
-        store = self._gather_cache.get(key)
-        if store is None:
-            parts = ray.get([a.triples_at.remote(ts) for a in self.actors])
-            store = pa.concat_tables([p for p in parts if p.num_rows > 0]) \
-                if any(p.num_rows for p in parts) else parts[0]
-            self._gather_cache.put(key, store)
-        return eval_bgp(store, query)
-
-    def query_at_tagged_wire(self, ts, query: str) -> str:
-        """Engine-to-engine federation surface on the distributed
-        backend: the gathered store evaluates WITHOUT finalizing and
-        the tagged bindings serialize exactly (federation sub-queries
-        are plain SELECTs over endpoint-vocabulary-sized stores, so the
-        gather transfer is the right cost shape here)."""
-        from .bgp import eval_bgp, tagged_wire
-
-        key = ts if isinstance(ts, int) else int(pd.Timestamp(ts).timestamp())
-        store = self._gather_cache.get(key)
-        if store is None:
-            parts = ray.get([a.triples_at.remote(ts) for a in self.actors])
-            store = pa.concat_tables([p for p in parts if p.num_rows > 0]) \
-                if any(p.num_rows for p in parts) else parts[0]
-            self._gather_cache.put(key, store)
-        from .bgp import _now_slot
-
-        _now_slot()[0] = pd.Timestamp(key, unit="s")
-        try:
-            res = eval_bgp(store, query,
-                           service_tables=self._svc_wire_tables(key),
-                           finalize=False)
-        finally:
-            _now_slot()[0] = None
-        return tagged_wire(res)
-
-    def _svc_wire_tables(self, ts: int) -> "dict | None":
-        """Registered endpoints for a tagged-wire evaluation: reader/dir
-        endpoints resolve to their store at the SAME instant on the
-        router; registered bare-root URLs rewrite to /api/sparql/{ts}
-        (shared version axis), explicit paths pass verbatim."""
-        if not self._services:
-            return None
-        from urllib.parse import urlparse
-
-        out = {}
-        for iri, r in self._services.items():
-            if isinstance(r, str) and r.startswith(("http://",
-                                                    "https://")):
-                out[iri] = (f"{r.rstrip('/')}/api/sparql/{ts}"
-                            if urlparse(r).path in ("", "/") else r)
-            else:
-                out[iri] = self._service_reader(iri)._store_at(ts)
-        return out
+        res = eval_group(group, pattern_bindings, graph_bindings,
+                         service_evaluator(endpoints))
+        if not finalize:
+            return _tagged_result(res, group)
+        return finish_query(res, group, pattern_bindings)
 
     def graph_at(self, graph_id: str, ts):
         """Point lookup with PARTITION PRUNING: the build's
@@ -527,11 +402,6 @@ class QueryService:
 
         pid = int(partition_ids([graph_id], len(self.actors))[0])
         return ray.get(self.actors[pid].graph_at.remote(graph_id, ts))
-
-    def graphs_at(self, ts) -> str:
-        texts = ray.get([a.graphs_at.remote(ts) for a in self.actors])
-        lines = sorted({ln for t in texts for ln in t.splitlines() if ln})
-        return "\n".join(lines) + "\n" if lines else ""
 
     def graphs_at_to(self, ts, out_path: str, work_dir: str | None = None
                      ) -> int:

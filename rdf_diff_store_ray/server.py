@@ -64,72 +64,72 @@ def _bounds_json(lo, hi) -> dict:
 
 
 class StoreBackend:
-    """Shared state behind the handlers: a lazily (re)loaded reader over
-    the delta log, invalidated after every successful write."""
+    """Shared state behind the handlers: a lazily (re)opened reader over
+    the delta log, dropped after every successful write. The reader is
+    the in-process :class:`..query.bgp.DiffStoreReader`, or with
+    ``distributed=True`` a :class:`..query.service.QueryService` — one
+    partition-reader actor per delta partition, so the HTTP process never
+    holds the store (the 100× role split: this process is the
+    reference's thin actix layer, the actors its repo pool of 32
+    readers, ``src/bin/rdf-query-cache.rs:137,170``). Both answer
+    through the same front door (:mod:`.query.front`), so routes, cache
+    levels and formats are identical; dropping the router restarts the
+    actor pool (the next read reloads the log, the fetch-updates
+    analog)."""
 
     def __init__(self, delta_dir: str, *, prefixes: dict | None = None,
-                 services: dict | None = None):
+                 services: dict | None = None, distributed: bool = False):
         self.delta_dir = delta_dir
         self.prefixes = prefixes
-        # iri → store dir path (loaded in-process) or http(s) URL of
-        # another live server (wire federation, passed to the reader)
+        # iri → store dir path (loaded on first use) or http(s) URL of
+        # another live server (wire federation)
         self.services = dict(services or {})
+        self.distributed = distributed
         self._lock = threading.Lock()
         self._reader = None
 
     def invalidate(self) -> None:
         with self._lock:
-            self._reader = None
+            old, self._reader = self._reader, None
+        if old is not None and self.distributed:
+            old.shutdown()
 
     def close(self) -> None:
-        pass
+        self.invalidate()
 
     def reader(self):
-        from .query.bgp import DiffStoreReader
-
         with self._lock:
             if self._reader is None:
-                svc = {
-                    iri: (path if path.startswith(("http://", "https://"))
-                          else DiffStoreReader(self._load(path)))
-                    for iri, path in self.services.items()
-                }
-                self._reader = DiffStoreReader(
-                    self._load(self.delta_dir), services=svc)
+                if self.distributed:
+                    from .query.service import QueryService
+
+                    self._reader = QueryService(self.delta_dir,
+                                                services=self.services)
+                else:
+                    from .query.bgp import DiffStoreReader
+
+                    self._reader = DiffStoreReader(
+                        self._load(), services=self.services)
             return self._reader
 
-    def _load(self, delta_dir: str | None = None):
-        import glob
-        import os
+    def _load(self):
+        from .query.front import load_deltas
 
-        import pyarrow.dataset as pads
-
-        d = delta_dir or self.delta_dir
-        files = sorted(
-            glob.glob(os.path.join(d, "partition=*", "*.parquet"))
-        )
-        if not files:
-            raise FileNotFoundError(f"no delta partitions under {d!r}")
-        return pads.dataset(files).to_table()
+        return load_deltas(self.delta_dir)
 
     # ------------------------------------------------------------- reads
     def graphs_at(self, ts: int, graph_id: str | None) -> tuple[str, str]:
         """(document, cache_level). Merged store, or one graph when
         ``graph_id`` is given (absent graph → empty document, matching
-        the reference's empty-result behavior for unknown ids)."""
+        the reference's empty-result behavior for unknown ids; the
+        router prunes the point read to the owning partition)."""
         reader = self.reader()
         if graph_id is None:
-            text = reader.graphs_at(ts)
-            level = reader.last_cache_level
+            text, level = reader.graphs(ts)
         else:
-            import pyarrow.compute as pc
-
-            from .state.reconstruct import state_at_table
-
-            live = state_at_table(reader.deltas, ts)
-            hit = live.filter(pc.equal(live["graph_id"], graph_id))
-            text = hit["delta_text"][0].as_py() if hit.num_rows else ""
-            level = "Graph" if hit.num_rows else "Nothing"
+            text = reader.graph_at(graph_id, ts)
+            level = "Nothing" if text is None else "Graph"
+            text = text or ""
         if self.prefixes is not None and text:
             from .ntriples import parse
             from .turtle import serialize_turtle
@@ -139,12 +139,7 @@ class StoreBackend:
 
     def sparql_at(self, ts: int, query: str,
                   fmt: str = "json") -> tuple[str, str]:
-        reader = self.reader()
-        if fmt == "tagged":  # engine-to-engine federation wire
-            return reader.query_at_tagged_wire(ts, query), "Store"
-        fn = {"json": reader.query_at_json, "csv": reader.query_at_csv,
-              "tsv": reader.query_at_tsv}[fmt]
-        return fn(ts, query), reader.last_cache_level
+        return self.reader().answer(ts, query, fmt)
 
     def metadata(self) -> dict:
         return _bounds_json(*self.reader().metadata())
@@ -175,73 +170,21 @@ class StoreBackend:
         return n
 
 
-class DistributedStoreBackend(StoreBackend):
-    """Same handler contract served by :class:`..query.service.
-    QueryService` — one partition-reader actor per delta partition, so
-    the HTTP process never holds the store (the 100× role split: this
-    process is the reference's thin actix layer, the actors are its
-    repo pool of 32 readers, ``src/bin/rdf-query-cache.rs:137,170``).
-    Point reads prune to the owning actor; writes invalidate by
-    restarting the actor pool (the next read reloads the log, the
-    fetch-updates analog)."""
+_RESULT_TYPES = (  # Accept substring → (format, content type)
+    ("application/x-kg-tagged-tsv", "tagged"),
+    ("text/csv", "csv"),
+    ("text/tab-separated-values", "tsv"),
+)
 
-    def __init__(self, delta_dir: str, *, prefixes: dict | None = None,
-                 services: dict | None = None):
-        super().__init__(delta_dir, prefixes=prefixes, services=services)
-        self._svc = None
 
-    def _service(self):
-        from .query.service import QueryService
-
-        with self._lock:
-            if self._svc is None:
-                self._svc = QueryService(self.delta_dir,
-                                         services=dict(self.services))
-            return self._svc
-
-    def invalidate(self) -> None:
-        with self._lock:
-            if self._svc is not None:
-                self._svc.shutdown()
-                self._svc = None
-
-    def close(self) -> None:
-        self.invalidate()
-
-    def _level(self, svc) -> str:
-        levels = set(svc.cache_levels())
-        # the most informative level any partition reached this request
-        for lv in ("Prettified", "Query", "Graph", "Store"):
-            if lv in levels:
-                return lv
-        return "Nothing"
-
-    def graphs_at(self, ts: int, graph_id: str | None) -> tuple[str, str]:
-        svc = self._service()
-        if graph_id is None:
-            text = svc.graphs_at(ts)
-            level = self._level(svc)
-        else:
-            text = svc.graph_at(graph_id, ts) or ""
-            level = "Graph" if text else "Nothing"
-        if self.prefixes is not None and text:
-            from .ntriples import parse
-            from .turtle import serialize_turtle
-
-            text = serialize_turtle(parse(text), self.prefixes)
-        return text, level
-
-    def sparql_at(self, ts: int, query: str,
-                  fmt: str = "json") -> tuple[str, str]:
-        svc = self._service()
-        if fmt == "tagged":  # engine-to-engine federation wire
-            return svc.query_at_tagged_wire(ts, query), self._level(svc)
-        fn = {"json": svc.query_at_json, "csv": svc.query_at_csv,
-              "tsv": svc.query_at_tsv}[fmt]
-        return fn(ts, query), self._level(svc)
-
-    def metadata(self) -> dict:
-        return _bounds_json(*self._service().metadata())
+def _negotiate(accept: str) -> tuple[str, str]:
+    """Content negotiation over the W3C result formats (the reference
+    serves JSON only; CSV/TSV are the SPARQL 1.1 standard siblings) and
+    the engine-to-engine federation wire (exact term tags)."""
+    for ctype, fmt in _RESULT_TYPES:
+        if ctype in accept:
+            return fmt, ctype
+    return "json", "application/json"
 
 
 def _make_handler(backend: StoreBackend, api_key: str | None,
@@ -288,22 +231,16 @@ def _make_handler(backend: StoreBackend, api_key: str | None,
                 f'endpoint="{endpoint}",cache_level="{level}"',
             )
 
-        def _sparql_now(self, query: str) -> None:
-            # empty store → no latest version; query at t=0 so standard
-            # clients get an empty result set instead of a 500
-            ts = backend.metadata()["end_time"] or 0
-            accept = self.headers.get("Accept", "")
-            fmt, ctype = "json", "application/json"
-            if "application/x-kg-tagged-tsv" in accept:
-                fmt = "tagged"
-                ctype = "application/x-kg-tagged-tsv"
-            elif "text/csv" in accept:
-                fmt, ctype = "csv", "text/csv"
-            elif "text/tab-separated-values" in accept:
-                fmt, ctype = "tsv", "text/tab-separated-values"
+        def _sparql(self, ts: int, query: str) -> None:
+            fmt, ctype = _negotiate(self.headers.get("Accept", ""))
             body, level = backend.sparql_at(ts, query, fmt=fmt)
             self._metrics_record("sparql", level)
             self._send(200, body, ctype, {"Cache-Level": level})
+
+        def _sparql_now(self, query: str) -> None:
+            # empty store → no latest version; query at t=0 so standard
+            # clients get an empty result set instead of a 500
+            self._sparql(backend.metadata()["end_time"] or 0, query)
 
         # ------------------------------------------------------- routes
         def do_GET(self):  # noqa: N802 (stdlib casing)
@@ -328,24 +265,7 @@ def _make_handler(backend: StoreBackend, api_key: str | None,
                 elif len(parts) == 3 and parts[:2] == ["api", "sparql"]:
                     if "query" not in q:
                         return self._error(400, "missing query parameter")
-                    ts = int(parts[2])
-                    # content negotiation over the W3C result formats
-                    # (the reference serves JSON only; CSV/TSV are the
-                    # SPARQL 1.1 standard siblings)
-                    accept = self.headers.get("Accept", "")
-                    fmt, ctype = "json", "application/json"
-                    if "application/x-kg-tagged-tsv" in accept:
-                        # engine-to-engine federation wire (exact tags)
-                        fmt = "tagged"
-                        ctype = "application/x-kg-tagged-tsv"
-                    elif "text/csv" in accept:
-                        fmt, ctype = "csv", "text/csv"
-                    elif "text/tab-separated-values" in accept:
-                        fmt, ctype = "tsv", "text/tab-separated-values"
-                    body, level = backend.sparql_at(ts, q["query"][0],
-                                                    fmt=fmt)
-                    self._metrics_record("sparql", level)
-                    self._send(200, body, ctype, {"Cache-Level": level})
+                    self._sparql(int(parts[2]), q["query"][0])
                 elif url.path == "/api/metadata":
                     self._send(200, json.dumps(backend.metadata()),
                                "application/json")
@@ -511,8 +431,9 @@ class DiffStoreServer:
                  distributed: bool = False, services: dict | None = None,
                  replica_of: str | None = None, sync_every: float = 60.0,
                  now_fn=time.time):
-        cls = DistributedStoreBackend if distributed else StoreBackend
-        self.backend = cls(delta_dir, prefixes=prefixes, services=services)
+        self.backend = StoreBackend(delta_dir, prefixes=prefixes,
+                                    services=services,
+                                    distributed=distributed)
         self._syncer = None
         if replica_of is not None:
             read_only = True

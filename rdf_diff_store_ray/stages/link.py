@@ -2,17 +2,17 @@
 
 ``SurfaceResolver`` holds the broadcast small side — the gazetteer alias
 table plus the MinHash-LSH/union-find canonical map — as a plain dict
-built **once per actor** from ``ray.put`` object refs (broadcast once,
-read per actor, never re-shipped per batch).
+built **once per worker process** from ``ray.put`` object refs (broadcast
+once, read per worker, never re-shipped per batch).
 
-Two sibling actor stages consume the nested raw-triples rows:
+Two sibling batch stages consume the nested raw-triples rows:
 
-- :class:`VersionSerializer`: raw page rows → per-(graph, version)
+- :func:`serialize_versions_batch`: raw page rows → per-(graph, version)
   canonical N-Triples snapshots (``VERSIONS``). Runs with **no shuffle**:
   a page's triples never leave the batch. The serialized text's SHA-256 is
   the digest used for no-op suppression downstream (the byte-compare of
   stored content in the reference, ``/root/reference/src/graphs.rs:52-61``).
-- :class:`TripleEmitter`: raw page rows → exploded, linked ``TRIPLES``
+- :func:`emit_triples_batch`: raw page rows → exploded, linked ``TRIPLES``
   rows (the queryable/P-R-scored triple table).
 """
 
@@ -58,27 +58,10 @@ def _get(ref_or_obj):
     return ray.get(ref_or_obj) if isinstance(ref_or_obj, ray.ObjectRef) else ref_or_obj
 
 
-class VersionSerializer:
-    """Raw nested rows → ``VERSIONS`` (canonical snapshot per (url, ts))."""
-
-    def __init__(self, gazetteer_ref, canonical_map_ref=None):
-        self.resolver = SurfaceResolver(
-            _get(gazetteer_ref),
-            _get(canonical_map_ref) if canonical_map_ref is not None else None,
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _serialize_versions(self.resolver, batch)
-
-
-# ---------------------------------------------------------------------------
-# Task-mode variants: the same stages as plain batch functions with the
-# resolver memoized PER WORKER PROCESS (keyed by the broadcast object
-# refs). Setup still happens once per worker — the actor-pool invariant —
-# but the batches run on Ray's shared, already-warm task-worker pool, so a
-# build pays zero per-stage actor-spawn latency. Use the actor-pool
-# classes instead when per-worker setup is genuinely expensive (model
-# weights, large indexes): ``build(..., use_actor_pools=True)``.
+# The resolver is memoized PER WORKER PROCESS (keyed by the broadcast
+# object refs): setup happens once per worker, and the batches run on
+# Ray's shared, already-warm task-worker pool, so a build pays no
+# per-stage actor-spawn latency.
 _RESOLVER_CACHE: dict = {}
 
 
@@ -159,15 +142,3 @@ def _emit_triples(resolver: SurfaceResolver, batch: pa.Table) -> pa.Table:
         }
     ).cast(TRIPLES)
 
-
-class TripleEmitter:
-    """Raw nested rows → exploded linked ``TRIPLES`` rows."""
-
-    def __init__(self, gazetteer_ref, canonical_map_ref=None):
-        self.resolver = SurfaceResolver(
-            _get(gazetteer_ref),
-            _get(canonical_map_ref) if canonical_map_ref is not None else None,
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _emit_triples(self.resolver, batch)

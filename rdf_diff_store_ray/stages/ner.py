@@ -1,10 +1,10 @@
-"""NER mention detection + relation extraction (actor-pool stage).
+"""NER mention detection + relation extraction.
 
-``PageRelations`` is a callable class for
-``ds.map_batches(PageRelations, concurrency=N, batch_size=B)``: pattern
-compilation happens once per actor in ``__init__`` (the reference's analog
-is per-pool state like the reused HTTP client, ``/root/reference/src/rdf.rs:41``),
-then every batch is processed with the compiled machinery.
+:func:`page_relations_batch` is the ``map_batches`` stage. Its
+:class:`PageRelations` state compiles the patterns once per worker
+process (the reference's analog is per-pool state like the reused HTTP
+client, ``/root/reference/src/rdf.rs:41``), then every batch is
+processed with the compiled machinery.
 
 Output keeps triples **nested per page row** (``triples:
 list<struct<subj_surface, pred, obj_surface, obj_is_literal>>``) so the
@@ -119,9 +119,8 @@ class PageRelations:
         ).cast(RAW_SCHEMA)
 
 
-# Task-mode variant: compiled patterns memoized per worker process, so the
-# stage runs on the shared warm task pool with zero actor-spawn latency
-# (use the class + ``concurrency=`` when per-worker setup is expensive).
+# compiled patterns memoized per worker process, so the stage runs on the
+# shared warm task pool with zero actor-spawn latency
 _PAGE_RELATIONS: PageRelations | None = None
 
 

@@ -166,35 +166,6 @@ def test_manifests_have_lineage(built):
             assert m["graph_id_min"] <= m["graph_id_max"]
 
 
-def test_actor_pool_build_matches_task_mode(
-    ray_session, small_corpus, corpus_dir, built, tmp_path_factory
-):
-    """The actor-pool stage variants must produce a byte-identical delta
-    log to the default task-mode build."""
-    from rdf_diff_store_ray.pipelines.build import build
-
-    out = str(tmp_path_factory.mktemp("kgbuild_actors"))
-    res = build(
-        f"{corpus_dir}/pages.parquet",
-        out,
-        gazetteer=small_corpus.gazetteer,
-        num_partitions=4,
-        resume=False,
-        use_actor_pools=True,
-        actor_pool=(1, 2),
-    )
-
-    def rows(r):
-        dt = r.delta_table()
-        return sorted(
-            zip(dt["graph_id"].to_pylist(), dt["warc_ts"].to_pylist(),
-                dt["op"].to_pylist(), dt["delta_text"].to_pylist(),
-                dt["digest"].to_pylist())
-        )
-
-    assert rows(res) == rows(built)
-
-
 def test_resume_recomputes_only_missing_partition(
     ray_session, small_corpus, corpus_dir, built
 ):

@@ -33,7 +33,9 @@ def test_counters_with_labels():
     }
 
 
-def test_reader_records_cache_levels(ray_session):
+def test_reader_records_cache_levels(ray_session, tmp_path):
+    """Both read backends record cache levels and query times through
+    the shared front door."""
     import pyarrow as pa
 
     from rdf_diff_store_ray.query.bgp import DiffStoreReader
@@ -52,17 +54,28 @@ def test_reader_records_cache_levels(ray_session):
             "partition_id": pa.array([0], pa.int32()),
         }
     )
-    reg = MetricsRegistry()
-    reader = DiffStoreReader(deltas, registry=reg)
-    q = "?s <https://p> ?o"
-    reader.query_at(1_700_000_001, q)  # Nothing
-    reader.query_at(1_700_000_001, q)  # Query hit
-    reader.graphs_at(1_700_000_001)    # store warm -> Graph
-    text = reg.render_prometheus()
-    assert 'endpoint="sparql",cache_level="Nothing"' in text
-    assert 'endpoint="sparql",cache_level="Query"' in text
-    assert 'endpoint="graphs",cache_level="Graph"' in text
-    assert "query_processing_time_count{} 3" in text
+    from rdf_diff_store_ray.query.service import QueryService
+    from rdf_diff_store_ray.state.append import append_graphs, init_log
+
+    store = init_log(str(tmp_path / "deltas"), num_partitions=2)
+    append_graphs(store, {"g": '<https://s> <https://p> "1" .\n'},
+                  1_700_000_000)
+    svc = QueryService(store)
+    try:
+        for backend in (DiffStoreReader(deltas), svc):
+            reg = MetricsRegistry()
+            backend.registry = reg
+            q = "?s <https://p> ?o"
+            backend.query_at(1_700_000_001, q)  # Nothing
+            backend.query_at(1_700_000_001, q)  # Query hit
+            backend.graphs_at(1_700_000_001)    # store warm -> Graph
+            text = reg.render_prometheus()
+            assert 'endpoint="sparql",cache_level="Nothing"' in text
+            assert 'endpoint="sparql",cache_level="Query"' in text
+            assert 'endpoint="graphs",cache_level="Graph"' in text
+            assert "query_processing_time_count{} 3" in text
+    finally:
+        svc.shutdown()
 
 
 def test_build_writes_metrics_artifact(ray_session, tmp_path):

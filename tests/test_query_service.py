@@ -52,10 +52,12 @@ def test_query_at_matches(service, single_reader):
 def test_query_caches_warm(service, single_reader):
     """Layered caching: the ACTOR level warms on a repeat that reaches
     it (bypassing the router LRU, which would otherwise short-circuit)."""
+    from rdf_diff_store_ray.query.bgp import parse_query
+
     ts = _end_ts(single_reader)
     q = "?s <https://kg.example/prop/partnersWith> ?o"
     service.query_at(ts, q)
-    service._query_at_uncached(ts, q)
+    service._evaluate(parse_query(q), q, ts, None, True)
     assert all(lv == "Query" for lv in service.cache_levels())
 
 
@@ -338,3 +340,45 @@ def test_service_serializations_match_reader(service, single_reader):
     assert service.query_at_json(ts, q) == single_reader.query_at_json(ts, q)
     assert service.query_at_csv(ts, q) == single_reader.query_at_csv(ts, q)
     assert service.query_at_tsv(ts, q) == single_reader.query_at_tsv(ts, q)
+
+
+def _split_partition_store(tmp_path):
+    """A 4-partition log where the ``?s <p> ?o`` match and the
+    ``?o <q> ?x`` match sit in graphs owned by different partitions."""
+    from rdf_diff_store_ray.shuffle_utils import partition_ids
+    from rdf_diff_store_ray.state.append import append_graphs, init_log
+
+    store = init_log(str(tmp_path / "deltas"), num_partitions=4)
+    ids = [f"https://x/g{i}" for i in range(32)]
+    pids = partition_ids(ids, 4)
+    other = next(g for g, p in zip(ids, pids) if p != pids[0])
+    append_graphs(store, {
+        ids[0]: "<https://x/s> <https://x/p> <https://x/o> .\n",
+        other: '<https://x/o> <https://x/q> "v" .\n',
+    }, 1_700_000_000)
+    return store
+
+
+def test_expression_exists_crosses_partitions(ray_session, tmp_path):
+    """An EXISTS inside a FILTER expression may match in another
+    partition than its outer pattern, so the router must not evaluate
+    the query per partition."""
+    from rdf_diff_store_ray.query.bgp import DiffStoreReader
+    from rdf_diff_store_ray.query.front import load_deltas
+    from rdf_diff_store_ray.query.service import QueryService
+
+    store = _split_partition_store(tmp_path)
+    reader = DiffStoreReader(load_deltas(store))
+    svc = QueryService(store)
+    ts = 1_700_000_001
+    try:
+        for q in (
+            "?s <https://x/p> ?o . FILTER(EXISTS { ?o <https://x/q> ?x })",
+            "?s <https://x/p> ?o . "
+            "FILTER(?o = <https://x/nope> || EXISTS { ?o <https://x/q> ?x })",
+        ):
+            want = reader.query_at(ts, q)
+            assert list(want["s"]) == ["https://x/s"], q
+            pd.testing.assert_frame_equal(svc.query_at(ts, q), want)
+    finally:
+        svc.shutdown()

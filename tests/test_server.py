@@ -190,9 +190,16 @@ def test_distributed_backend_parity(ray_session, tmp_path):
             f"/api/graphs/{T1 - 1}", f"/api/sparql/{T3}?query={q}",
             "/api/metadata", "/livez",
         ]:
-            s1, _, body1 = _req("GET", b1 + path)
-            s2, _, body2 = _req("GET", b2 + path)
+            s1, h1, body1 = _req("GET", b1 + path)
+            s2, h2, body2 = _req("GET", b2 + path)
             assert (s1, body1) == (s2, body2), path
+            assert h1.get("Cache-Level") == h2.get("Cache-Level"), path
+
+        # the router reports its own LRU hit on a repeated query
+        for base in (b1, b2):
+            levels = [_req("GET", f"{base}/api/sparql/{T2}?query={q}")[1]
+                      ["Cache-Level"] for _ in range(3)]
+            assert levels == ["Nothing", "Query", "Query"], base
 
         # a write through the distributed server restarts the pool and
         # the next read sees it
@@ -533,3 +540,81 @@ def test_replica_auto_sync_serves_primary_writes(ray_session, tmp_path):
         assert code == 404  # replicas are read-only
     finally:
         srv.shutdown()
+
+
+def test_front_door_parity_across_doors(ray_session, tmp_path):
+    """One call sequence through every read door — DiffStoreReader,
+    QueryService, and the server on either backend — gives equal
+    answers and equal cache levels on every call: a repeated query, an
+    expression-level EXISTS whose match sits in another partition, and a
+    latest-state SERVICE inside FILTER(EXISTS), which no door caches."""
+    from rdf_diff_store_ray.query.bgp import DiffStoreReader
+    from rdf_diff_store_ray.query.front import load_deltas
+    from rdf_diff_store_ray.query.service import QueryService
+    from rdf_diff_store_ray.server import DiffStoreServer
+    from rdf_diff_store_ray.shuffle_utils import partition_ids
+    from rdf_diff_store_ray.state.append import append_graphs, init_log
+
+    store = init_log(str(tmp_path / "main"), num_partitions=4)
+    ids = [f"https://x/g{i}" for i in range(32)]
+    pids = partition_ids(ids, 4)
+    other = next(g for g, p in zip(ids, pids) if p != pids[0])
+    append_graphs(store, {
+        ids[0]: "<https://x/s> <https://x/p> <https://x/o> .\n",
+        other: '<https://x/o> <https://x/q> "v" .\n',
+    }, T1)
+    # the SERVICE endpoint: another live server, dereferenced verbatim
+    # (its latest state), whose label graph comes and goes
+    srv_b = DiffStoreServer(init_log(str(tmp_path / "b"),
+                                     num_partitions=2)).start()
+    root_b = f"http://127.0.0.1:{srv_b.port}"
+    label = {"id": "v", "graph": '<https://x/o> <https://x/label> "L" .\n'}
+
+    q_rep = "SELECT ?s ?o WHERE { ?s <https://x/p> ?o }"
+    q_exists = ("?s <https://x/p> ?o . "
+                "FILTER(EXISTS { ?o <https://x/q> ?x })")
+    q_svc = ("SELECT ?s WHERE { ?s <https://x/p> ?o . FILTER(EXISTS { "
+             f"SERVICE <{root_b}/sparql> {{ ?o <https://x/label> ?l }} }}) }}")
+
+    def sequence(ask, stamp):
+        out = [ask(q_rep), ask(q_rep), ask(q_exists)]
+        _req("POST", f"{root_b}/api/graphs", dict(label, timestamp=stamp))
+        out.append(ask(q_svc))
+        _req("DELETE", f"{root_b}/api/graphs?id=v&timestamp={stamp + 1}")
+        out.append(ask(q_svc))
+        return out
+
+    def in_process(door):
+        return lambda q: door.answer(T2, q, "json")
+
+    def over_http(base):
+        def ask(q):
+            _, hdr, body = _req(
+                "GET", f"{base}/api/sparql/{T2}?query="
+                + urllib.parse.quote(q))
+            return body, hdr["Cache-Level"]
+        return ask
+
+    runs = []
+    svc = QueryService(store)
+    try:
+        runs.append(sequence(in_process(DiffStoreReader(load_deltas(store))),
+                             T2))
+        runs.append(sequence(in_process(svc), T2 + 10))
+        for i, distributed in enumerate((False, True)):
+            srv = DiffStoreServer(store, distributed=distributed).start()
+            try:
+                runs.append(sequence(
+                    over_http(f"http://127.0.0.1:{srv.port}"), T2 + 20 + 10 * i))
+            finally:
+                srv.shutdown()
+    finally:
+        svc.shutdown()
+        srv_b.shutdown()
+
+    assert runs[1:] == runs[:1] * 3
+    levels = [level for _, level in runs[0]]
+    assert levels == ["Nothing", "Query", "Store", "Store", "Store"]
+    rows = [len(json.loads(body)["results"]["bindings"])
+            for body, _ in runs[0]]
+    assert rows == [1, 1, 1, 1, 0]
