@@ -95,8 +95,7 @@ def cmd_build_inc(args) -> int:
 
     with open(args.gazetteer) as f:
         gaz = json.load(f)
-    res = build_incremental(args.pages, args.out, gazetteer=gaz,
-                            canonical_map=args.canonical_map)
+    res = build_incremental(args.pages, args.out, gazetteer=gaz)
     print(json.dumps({
         "out_dir": res.out_dir,
         "partitions": res.num_partitions,
@@ -573,7 +572,7 @@ def main(argv=None) -> int:
                    default="auto",
                    help="'auto' (default) counts the surface vocabulary "
                         "once and picks driver at or below the "
-                        "threshold (KG_AUTO_VOCAB_THRESHOLD, 250k), "
+                        "threshold (250k surfaces), "
                         "distributed above; 'distributed' = persisted "
                         "parquet map + co-partition-join resolution "
                         "(unbounded-vocabulary scale path)")
@@ -581,15 +580,13 @@ def main(argv=None) -> int:
 
     bi = sub.add_parser(
         "build-incremental",
-        help="append a new crawl batch to an existing store (continuous-writer analog)",
+        help="append a new crawl batch to an existing store "
+             "(continuous-writer analog; the canonical map is extended "
+             "in the store's own layout)",
     )
     bi.add_argument("--pages", required=True)
     bi.add_argument("--out", required=True)
     bi.add_argument("--gazetteer", required=True)
-    bi.add_argument("--canonical-map",
-                    choices=["auto", "driver", "distributed"],
-                    default="auto",
-                    help="'auto' (default) follows the store's layout")
     bi.set_defaults(fn=cmd_build_inc)
 
     i = sub.add_parser("init", help="create an empty delta log")

@@ -1,18 +1,31 @@
-"""The flagship build: pages → versioned KG delta log (SURVEY §3.4).
+"""The write path: pages → versioned KG delta log (SURVEY §3.4).
 
-Stage graph (streaming execution, backpressured; ONE corpus-scale shuffle)::
+:func:`build` (the bootstrap) and :func:`build_incremental` (every run
+after it, the reference's forever-running writer) run ONE stage graph
+(streaming execution, backpressured; ONE corpus-scale shuffle)::
 
     read_parquet(pages, columns=[url, warc_ts, html, text, lang])
       └─ map_batches(extract_batch)            # stateless, zero-copy Arrow; digest invariant
       └─ map_batches(page_relations_batch)     # NER + relation extraction → nested triples
-      └─ write_parquet(run_dir/raw)            # stage checkpoint (reused on resume)
-    raw ─ canonicalize (vocabulary-scale shuffle) → surface→IRI map
-        → persisted to canonical_map.json, ray.put once (broadcast)
-    raw ─ filter completed partitions (resume prune at the read)
-        ─ map_batches(serialize_versions_batch)  # per-(url, ts) snapshot, NO shuffle
-        ─ add partition_id = stable_hash(url) % P
-        ─ groupby(partition_id).map_groups(DeltaPartitionWriter)   # THE shuffle + sink
-    raw ─ map_batches(emit_triples_batch) → write_parquet(run_dir/triples)
+      └─ write_parquet(raw)                    # stage checkpoint (reused on resume)
+    raw ─ canonical map, built or extended (vocabulary-scale)  ‖  snapshot grid
+    raw ─ versions, by the store's canonical-map layout:
+            driver       map_batches(serialize_versions_batch)  # broadcast dict, NO shuffle
+            distributed  resolve_triples                        # co-partition joins
+        ─ add partition_id = stable_hash(graph_id) % P
+        ─ groupby(partition_id).map_groups(delta sink)          # THE shuffle + sink
+          (the distributed layout serializes each partition inside the sink)
+    raw ─ triples sink → write_parquet(triples/ or triples/inc_<batch>/)
+
+The two delta sinks are where the entry points differ, together with
+the map (built vs extended) and the resume prune:
+
+- ``build()`` prunes partitions a killed run already finished and writes
+  each partition whole (:func:`..stages.deltas.make_partition_writer`);
+- ``build_incremental()`` appends one segment per partition
+  (:func:`..state.append.make_incremental_appender`) under the store's
+  write lock, with every partition visited so live graphs absent from
+  the batch are still tombstoned.
 
 Scale notes: the nested-per-page layout keeps version serialization
 shuffle-free; the canonicalization shuffle runs over the surface
@@ -26,6 +39,8 @@ uninterrupted build (fixture F6).
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import shutil
@@ -44,6 +59,10 @@ from ..stages import ner as ner_mod
 from ..stages.extract import extract_batch
 
 PAGE_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
+# distinct surfaces above which the canonical map goes distributed: the
+# driver dict grows ~0.55 KB/surface and the two incremental costs cross
+# between 70k and 264k surfaces (BASELINE.md, round 5)
+AUTO_VOCAB_THRESHOLD = 250_000
 
 
 @dataclass
@@ -124,7 +143,6 @@ def build(
     enforce_digest: str = "raise",
     write_triples: bool = True,
     canonical_map: str = "auto",
-    auto_vocab_threshold: int | None = None,
 ) -> BuildResult:
     """Run the full build. ``pages`` is a Parquet path/dir or a Dataset.
 
@@ -147,18 +165,117 @@ def build(
     asserts it). ``"auto"`` (default) runs the shared vocabulary pass
     once (:func:`..stages.canonmap.distinct_surfaces` — both paths need
     exactly this set), counts it, and picks ``driver`` at or below
-    ``auto_vocab_threshold`` distinct surfaces, ``distributed`` above —
+    :data:`AUTO_VOCAB_THRESHOLD` distinct surfaces, ``distributed`` above —
     measured at sf0.1/32cpus the driver path builds 2.7× faster on a
     7.8k-surface vocabulary (BASELINE.md, round 5), while the driver
     dict's RSS grows linearly with vocabulary and the distributed path
     stays flat. A resumed build is sticky: an existing
     ``canonical/meta.json`` (or ``canonical_map.json``) decides the mode
     before any counting, so resume never flips layout mid-store.
-    ``auto_vocab_threshold``: explicit argument wins; when None (the
-    default) the ``KG_AUTO_VOCAB_THRESHOLD`` environment variable
-    supplies the threshold, falling back to 250,000.
     """
+    if canonical_map not in ("auto", "driver", "distributed"):
+        raise ValueError(f"canonical_map must be 'auto', 'driver' or "
+                         f"'distributed', got {canonical_map!r}")
+    os.makedirs(out_dir, exist_ok=True)
+    if not resume:
+        for sub in ("deltas", "raw", "triples", "canonical"):
+            shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
+        canon_path = os.path.join(out_dir, "canonical_map.json")
+        if os.path.exists(canon_path):
+            os.remove(canon_path)
+    if canonical_map == "auto":
+        canonical_map = _store_layout(out_dir)  # None: gate on the vocabulary
+    return _run(pages, out_dir, gazetteer, layout=canonical_map,
+                append=False, num_partitions=num_partitions,
+                batch_size=batch_size, enforce_digest=enforce_digest,
+                write_triples=write_triples)
+
+
+def build_incremental(
+    pages,
+    out_dir: str,
+    *,
+    gazetteer: dict,
+    batch_size: int = 1024,
+    enforce_digest: str = "raise",
+    write_triples: bool = True,
+) -> BuildResult:
+    """Append a NEW crawl snapshot batch to an EXISTING store — the
+    distributed form of the reference's continuously-running writer
+    (``src/bin/rdf-diff-writer.rs:45-91`` ingests updates forever; the
+    full :func:`build` is the bootstrap, this is every run after).
+
+    ``pages`` must be a complete crawl batch (one or more NEW snapshot
+    instants over the whole corpus): like the full build's grid
+    semantics, a live graph absent from a new instant is tombstoned.
+    The pipeline is the same stage graph as :func:`build` over only the
+    new pages; differences:
+
+    - the canonical map is EXTENDED, never rewritten, in the layout the
+      store already has — an incremental writer never flips it. A
+      ``canonical_map.json`` store gets
+      :func:`..stages.canonicalize.extend_canonical_map` (old surfaces
+      keep their IRIs so unchanged pages stay byte-identical and
+      suppressed); a persisted ``canonical/meta.json`` store gets the
+      O(batch) probe of its band/norm indexes
+      (:func:`..stages.canonmap.extend_canonical_store`) — no per-batch
+      re-cluster of the vocabulary, no driver dict, resolution by
+      co-partition join;
+    - each partition derives its delta rows against its existing log
+      state (stored digests seed suppression; per-graph monotonicity is
+      validated before any byte is written) and appends ONE new log
+      segment — O(changes) I/O, existing files untouched;
+    - the whole append phase runs under :class:`..state.append.StoreWriteLock`
+      (single-writer per store, like every other write path);
+    - the batch's triples land in their own ``triples/inc_<batch>``
+      directory, named by the input path or, for a Dataset, by the
+      batch's snapshot instants.
+
+    Partitions are individually all-or-nothing; re-running the same
+    batch after a partial failure is safe — already-appended versions
+    are suppressed as no-ops — and is also how "nothing changed" runs
+    behave (``applied_deltas == 0``).
+    """
+    success_path = os.path.join(out_dir, "deltas", deltas_mod.SUCCESS_NAME)
+    if not os.path.exists(success_path):
+        raise ValueError(
+            f"no existing store at {os.path.dirname(success_path)!r} — run "
+            "build() (or init_log) first; build_incremental only appends"
+        )
+    with open(success_path) as f:
+        meta = json.load(f)
+    return _run(pages, out_dir, gazetteer,
+                layout=_store_layout(out_dir) or "driver", append=True,
+                num_partitions=int(meta["num_partitions"]),
+                batch_size=batch_size, enforce_digest=enforce_digest,
+                write_triples=write_triples,
+                prior_snap=[int(t) for t in meta.get("snapshot_times", [])])
+
+
+def _store_layout(out_dir: str) -> str | None:
+    """The canonical-map layout a store already has (None: no map yet)."""
+    from ..stages.canonmap import META_NAME
+
+    if os.path.exists(os.path.join(out_dir, "canonical", META_NAME)):
+        return "distributed"
+    if os.path.exists(os.path.join(out_dir, "canonical_map.json")):
+        return "driver"
+    return None
+
+
+def _run(pages, out_dir: str, gazetteer: dict, *, layout, append: bool,
+         num_partitions: int, batch_size: int, enforce_digest: str,
+         write_triples: bool, prior_snap=()) -> BuildResult:
+    """The one stage graph behind :func:`build` (``append=False``) and
+    :func:`build_incremental` (``append=True``). ``layout`` is the
+    canonical map's; None lets one vocabulary pass pick it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .. import fs as _fs
     from .._bootstrap import ensure_importable
+    from ..stages import canonicalize as canon_mod
+    from ..stages import canonmap as canonmap_mod
+    from ..state import append as append_mod
 
     ensure_importable()
     t0 = time.monotonic()
@@ -170,37 +287,36 @@ def build(
         stage_wall[name] = round(now - _last[0], 3)
         _last[0] = now
 
-    if canonical_map not in ("auto", "driver", "distributed"):
-        raise ValueError(f"canonical_map must be 'auto', 'driver' or "
-                         f"'distributed', got {canonical_map!r}")
-    os.makedirs(out_dir, exist_ok=True)
     delta_dir = os.path.join(out_dir, "deltas")
-    raw_dir = os.path.join(out_dir, "raw")
     canon_path = os.path.join(out_dir, "canonical_map.json")
     canon_dir = os.path.join(out_dir, "canonical")
-    if not resume:
-        for sub in ("deltas", "raw", "triples", "canonical"):
-            shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
-        if os.path.exists(canon_path):
-            os.remove(canon_path)
-    done = deltas_mod.completed_partitions(delta_dir)
 
-    # -- stage 1: extract + relations → raw checkpoint (always full input) ---
+    # -- stage 1: extract + relations → raw checkpoint ----------------------
+    # an append checkpoints per input batch, keyed by its path, so a killed
+    # run resumes without re-extracting; a Dataset batch has no stable
+    # name, so its checkpoint is always rebuilt
+    batch_key = None
+    if not append:
+        raw_dir = os.path.join(out_dir, "raw")
+    elif isinstance(pages, str):
+        batch_key = hashlib.sha1(pages.encode()).hexdigest()[:12]
+        raw_dir = os.path.join(out_dir, f"raw_inc_{batch_key}")
+    else:
+        raw_dir = os.path.join(out_dir, "raw_inc_dataset")
     raw_success = os.path.join(raw_dir, "_SUCCESS")
-    if not os.path.exists(raw_success):
+    if not os.path.exists(raw_success) or (append and batch_key is None):
         if isinstance(pages, str):
             # parallelism comes from file/row-group granularity; never
             # oversplit (splitting inside a row group re-decodes it whole)
             ds = rd.read_parquet(pages, columns=PAGE_COLUMNS)
         else:
             ds = pages
-        extracted = ds.map_batches(
+        raw = ds.map_batches(
             extract_batch,
             fn_kwargs={"enforce": enforce_digest},
             batch_format="pyarrow",
             batch_size=batch_size,
-        )
-        raw = extracted.map_batches(
+        ).map_batches(
             ner_mod.page_relations_batch,
             batch_format="pyarrow",
             batch_size=batch_size,
@@ -212,73 +328,71 @@ def build(
     _mark("extract_ner_raw")
     raw_ds = rd.read_parquet(raw_dir)
 
-    # -- stage 2: canonicalization (vocabulary-scale; persisted for resume) --
-    # the snapshot grid is an independent small aggregation over raw —
-    # computed concurrently with canonicalization so neither waits
-    from concurrent.futures import ThreadPoolExecutor as _TPE
-
-    from ..stages import canonmap as canonmap_mod
-
-    shared_surf = None
-    if canonical_map == "auto":
-        # sticky resume: an existing layout decides before any counting
-        if os.path.exists(os.path.join(canon_dir, canonmap_mod.META_NAME)):
-            canonical_map = "distributed"
-        elif os.path.exists(canon_path):
-            canonical_map = "driver"
-
-    def _gate() -> str:
-        nonlocal shared_surf
-        # precedence: explicit argument > env override > built-in 250k
-        thresh = (auto_vocab_threshold
-                  if auto_vocab_threshold is not None
-                  else int(os.environ.get("KG_AUTO_VOCAB_THRESHOLD",
-                                          250_000)))
-        shared_surf = canonmap_mod.distinct_surfaces(
-            raw_ds, gazetteer).materialize()
-        n_vocab = shared_surf.count()
-        return "distributed" if n_vocab > thresh else "driver"
-
+    # -- stage 2: canonical map (persisted; an append extends it) -----------
     def _canon():
-        if canonical_map == "distributed":
-            # persisted store (resume-safe: meta.json is written last)
-            if not os.path.exists(os.path.join(canon_dir,
-                                               canonmap_mod.META_NAME)):
+        nonlocal layout
+        surf = None
+        if layout is None:
+            # a store without a map: one shared vocabulary pass picks
+            surf = canonmap_mod.distinct_surfaces(raw_ds,
+                                                  gazetteer).materialize()
+            layout = ("distributed" if surf.count() > AUTO_VOCAB_THRESHOLD
+                      else "driver")
+        if layout == "distributed":
+            # never collected — resolution joins the persisted store
+            # (resume-safe: meta.json is written last)
+            if append:
+                canonmap_mod.extend_canonical_store(raw_ds, gazetteer,
+                                                    canon_dir)
+            elif not os.path.exists(os.path.join(canon_dir,
+                                                 canonmap_mod.META_NAME)):
                 canonmap_mod.build_canonical_store(raw_ds, gazetteer,
-                                                   canon_dir,
-                                                   surf_ds=shared_surf)
-            return None  # never collected — resolution joins the store
+                                                   canon_dir, surf_ds=surf)
+            return None
+        old = None
         if os.path.exists(canon_path):
             with open(canon_path) as f:
-                return json.load(f)
-        cm = build_canonical_map(raw_ds, gazetteer, surf_ds=shared_surf)
-        from .. import fs as _fs
-
+                old = json.load(f)
+        if append:  # old assignments are immutable
+            cm = canon_mod.extend_canonical_map(old or {}, raw_ds, gazetteer)
+        elif old is not None:
+            return old
+        else:
+            cm = build_canonical_map(raw_ds, gazetteer, surf_ds=surf)
         _fs.put_text(canon_path, json.dumps(cm, sort_keys=True))
         return cm
 
-    with _TPE(max_workers=1) as tpe:
+    with ThreadPoolExecutor(max_workers=1) as tpe:
         # the snapshot grid runs concurrently with the gate pass and the
-        # map build — all are independent consumers of raw_ds
+        # map — all are independent consumers of raw_ds
         fut_snap = tpe.submit(_snapshot_times, raw_ds)
-        if canonical_map == "auto":
-            canonical_map = _gate()
         canon_dict = _canon()
-        snapshot_times = fut_snap.result()
+        snap = fut_snap.result()
     if canon_dict is None:
         canon_map_size = canonmap_mod.map_size(canon_dir)
-        gaz_ref = canon_ref = None
     else:
         canon_map_size = len(canon_dict)
-        gaz_ref = ray.put(gazetteer)
-        canon_ref = ray.put(canon_dict)
+        refs = {"gazetteer_ref": ray.put(gazetteer),
+                "canonical_map_ref": ray.put(canon_dict)}
     _mark("canonical_map_and_snapshots")
 
-    # -- stage 3: versions → delta log (THE shuffle) -------------------------
-    if canonical_map == "distributed":
-        # resolve by co-partition join; serialization folds into the
-        # delta partition groupby (same graph-hash key end-to-end)
-        resolved_all = canonmap_mod.resolve_triples(raw_ds, canon_dir)
+    # -- stage 3: versions → delta sink (THE shuffle) ‖ triples sink --------
+    done = (frozenset() if append
+            else frozenset(deltas_mod.completed_partitions(delta_dir)))
+
+    def _todo(ds, key: str):
+        # resume prune at the read; the triples sink sees every row
+        if not done:
+            return ds
+        return ds.map_batches(
+            deltas_mod.filter_completed,
+            fn_kwargs={"key": key, "num_partitions": num_partitions,
+                       "done": done},
+            batch_format="pyarrow",
+        )
+
+    if layout == "distributed":
+        resolved = canonmap_mod.resolve_triples(raw_ds, canon_dir)
         if write_triples:
             # two consumers (delta log + triples sink) — materialize the
             # resolved rows ONCE instead of executing the explode + two
@@ -286,145 +400,80 @@ def build(
             # is 5.1 s at sf0.1; the object store holds/spills the
             # bounded resolved rows, and at 100 TB this is the stage
             # you'd checkpoint to parquet anyway)
-            resolved_all = resolved_all.materialize()
-        resolved = resolved_all  # triples sink sees the UNfiltered rows
-        if done:
-            resolved = resolved.map_batches(
-                deltas_mod.filter_completed,
-                fn_kwargs={
-                    "key": "graph_id",
-                    "num_partitions": num_partitions,
-                    "done": frozenset(done),
-                },
-                batch_format="pyarrow",
-            )
-        versions = resolved.map_batches(
-            add_partition_id,
-            fn_kwargs={"key": "graph_id", "num_partitions": num_partitions},
-            batch_format="pyarrow",
+            resolved = resolved.materialize()
+        triples = canonmap_mod.triples_dataset(resolved)
+        versions = _todo(resolved, "graph_id")
+        # serialization folds into the delta partition groupby (same
+        # graph-hash key end-to-end)
+        serialize = canonmap_mod.serialize_partition_frame
+    else:
+        triples = raw_ds.map_batches(
+            link_mod.emit_triples_batch, fn_kwargs=refs,
+            batch_format="pyarrow", batch_size=batch_size,
         )
-        base_writer = deltas_mod.make_partition_writer(
-            delta_dir, snapshot_times, num_partitions
+        versions = _todo(raw_ds, "url").map_batches(
+            link_mod.serialize_versions_batch, fn_kwargs=refs,
+            batch_format="pyarrow", batch_size=batch_size,
         )
-
-        def write_resolved_partition(group):
-            return base_writer(
-                canonmap_mod.serialize_partition_frame(group)
-            )
-
-        def run_delta_log():
-            return (
-                versions.groupby("partition_id")
-                .map_groups(write_resolved_partition, batch_format="pandas")
-                .take_all()
-            )
-
-        def run_triples():
-            if not write_triples:
-                return None
-            triples_dir = os.path.join(out_dir, "triples")
-            shutil.rmtree(triples_dir, ignore_errors=True)
-            canonmap_mod.triples_dataset(resolved_all).write_parquet(
-                triples_dir)
-            return None
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as pool_exec:
-            fut_deltas = pool_exec.submit(run_delta_log)
-            fut_triples = pool_exec.submit(run_triples)
-            manifests = fut_deltas.result()
-            fut_triples.result()
-        _mark("delta_log_and_triples")
-        return _finish_build(out_dir, delta_dir, num_partitions, manifests,
-                             done, snapshot_times, canon_map_size,
-                             stage_wall, t0)
-
-    todo_ds = raw_ds
-    if done:
-        todo_ds = raw_ds.map_batches(
-            deltas_mod.filter_completed,
-            fn_kwargs={
-                "key": "url",
-                "num_partitions": num_partitions,
-                "done": frozenset(done),
-            },
-            batch_format="pyarrow",
-        )
-    serialized = todo_ds.map_batches(
-        link_mod.serialize_versions_batch,
-        fn_kwargs={
-            "gazetteer_ref": gaz_ref,
-            "canonical_map_ref": canon_ref,
-        },
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    versions = serialized.map_batches(
+        serialize = None
+    versions = versions.map_batches(
         add_partition_id,
         fn_kwargs={"key": "graph_id", "num_partitions": num_partitions},
         batch_format="pyarrow",
     )
+    if append:
+        # one marker row per partition: partitions with no new pages are
+        # visited too, since their live graphs still need tombstones
+        seed = append_mod.incremental_seed_rows(num_partitions)
+        if layout == "distributed":
+            seed = canonmap_mod.marker_rows(seed)
+        versions = versions.union(rd.from_arrow(seed))
+        sink = append_mod.make_incremental_appender(delta_dir, snap)
+        lock = append_mod.StoreWriteLock(delta_dir)
+        # a Dataset batch is named by its instants, so a re-run of the
+        # same batch overwrites only its own triples
+        batch_key = batch_key or "ts" + hashlib.sha1(
+            ",".join(map(str, snap)).encode()).hexdigest()[:12]
+        triples_dir = os.path.join(out_dir, "triples", f"inc_{batch_key}")
+    else:
+        sink = deltas_mod.make_partition_writer(delta_dir, snap)
+        lock = contextlib.nullcontext()
+        triples_dir = os.path.join(out_dir, "triples")
+
+    def write_group(group):
+        return sink(group if serialize is None else serialize(group))
+
     def run_delta_log():
         return (
             versions.groupby("partition_id")
-            .map_groups(
-                deltas_mod.make_partition_writer(
-                    delta_dir, snapshot_times, num_partitions
-                ),
-                batch_format="pandas",
-            )
+            .map_groups(write_group, batch_format="pandas")
             .take_all()
         )
 
     def run_triples():
-        if not write_triples:
-            return None
-        triples_dir = os.path.join(out_dir, "triples")
-        shutil.rmtree(triples_dir, ignore_errors=True)
-        raw_ds.map_batches(
-            link_mod.emit_triples_batch,
-            fn_kwargs={
-                "gazetteer_ref": gaz_ref,
-                "canonical_map_ref": canon_ref,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        ).write_parquet(triples_dir)
-        return None
+        if write_triples:
+            shutil.rmtree(triples_dir, ignore_errors=True)
+            triples.write_parquet(triples_dir)
 
-    # stages 3b and 4 are independent consumers of raw_ds — run their two
-    # Dataset executions concurrently so the cluster is never idle between
-    # the delta shuffle's barrier and the triples map
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=2) as pool_exec:
+    # the delta shuffle and the triples map are independent consumers of
+    # raw — run their two Dataset executions concurrently so the cluster
+    # is never idle between the shuffle's barrier and the triples map
+    with lock, ThreadPoolExecutor(max_workers=2) as pool_exec:
         fut_deltas = pool_exec.submit(run_delta_log)
         fut_triples = pool_exec.submit(run_triples)
-        manifests = fut_deltas.result()
+        rows = fut_deltas.result()
         fut_triples.result()
-    _mark("delta_log_and_triples")
-    return _finish_build(out_dir, delta_dir, num_partitions, manifests,
-                         done, snapshot_times, canon_map_size,
-                         stage_wall, t0)
+        _mark("delta_log_and_triples")
+        deltas_mod.mark_success(
+            delta_dir,
+            {
+                "num_partitions": num_partitions,
+                "partitions_written": len(rows),
+                "partitions_resumed": len(done),
+                "snapshot_times": sorted(set(prior_snap) | set(snap)),
+            },
+        )
 
-
-def _finish_build(out_dir, delta_dir, num_partitions, manifests, done,
-                  snapshot_times, canon_map_size, stage_wall,
-                  t0) -> BuildResult:
-    all_manifests = [
-        deltas_mod.read_manifest(delta_dir, pid)
-        for pid in sorted(deltas_mod.completed_partitions(delta_dir))
-    ]
-    deltas_mod.mark_success(
-        delta_dir,
-        {
-            "num_partitions": num_partitions,
-            "partitions_written": len(manifests),
-            "partitions_resumed": len(done),
-            "snapshot_times": snapshot_times,
-        },
-    )
     # operational metrics artifact (the reference's GET /metrics analog,
     # src/metrics/mod.rs): stage walls + per-partition manifest lineage
     # rendered as Prometheus text next to the log
@@ -441,11 +490,16 @@ def _finish_build(out_dir, delta_dir, num_partitions, manifests, done,
     return BuildResult(
         out_dir=out_dir,
         num_partitions=num_partitions,
-        manifests=all_manifests,
+        manifests=[
+            deltas_mod.read_manifest(delta_dir, pid)
+            for pid in sorted(deltas_mod.completed_partitions(delta_dir))
+        ],
         canonical_map_size=canon_map_size,
         wall_s=time.monotonic() - t0,
         resumed_partitions=len(done),
         stage_wall_s=stage_wall,
+        applied_deltas=(int(sum(r["applied"] for r in rows)) if append
+                        else -1),
     )
 
 
@@ -512,248 +566,3 @@ def pages_from_warc(warc, *, min_status: int = 200,
 
     return (ds.map_batches(keep, batch_format="pyarrow")
             .map_batches(_ingest_shape_batch, batch_format="pyarrow"))
-
-
-def build_incremental(
-    pages,
-    out_dir: str,
-    *,
-    gazetteer: dict,
-    batch_size: int = 1024,
-    enforce_digest: str = "raise",
-    write_triples: bool = True,
-    canonical_map: str = "auto",
-) -> BuildResult:
-    """Append a NEW crawl snapshot batch to an EXISTING store — the
-    distributed form of the reference's continuously-running writer
-    (``src/bin/rdf-diff-writer.rs:45-91`` ingests updates forever; the
-    full :func:`build` is the bootstrap, this is every run after).
-
-    ``pages`` must be a complete crawl batch (one or more NEW snapshot
-    instants over the whole corpus): like the full build's grid
-    semantics, a live graph absent from a new instant is tombstoned.
-    The pipeline is the same stage graph as :func:`build` over only the
-    new pages; differences:
-
-    - the canonical map is EXTENDED, never rewritten
-      (:func:`..stages.canonicalize.extend_canonical_map` — old surfaces
-      keep their IRIs so unchanged pages stay byte-identical and
-      suppressed). With ``canonical_map="distributed"`` (requires a store
-      built the same way) the extension is the O(batch) probe of the
-      persisted band/norm indexes (:func:`..stages.canonmap.
-      extend_canonical_store`) — no per-batch re-cluster of the
-      vocabulary, no driver dict, resolution by co-partition join.
-      ``"auto"`` (default) follows the store's own layout: a persisted
-      ``canonical/meta.json`` selects the distributed O(batch)
-      extension, a ``canonical_map.json`` the driver extension — an
-      incremental writer never flips the layout it appends to;
-    - each partition derives its delta rows against its existing log
-      state (stored digests seed suppression; per-graph monotonicity is
-      validated before any byte is written) and appends ONE new log
-      segment — O(changes) I/O, existing files untouched;
-    - the whole append phase runs under :class:`..state.append.StoreWriteLock`
-      (single-writer per store, like every other write path).
-
-    Partitions are individually all-or-nothing; re-running the same
-    batch after a partial failure is safe — already-appended versions
-    are suppressed as no-ops — and is also how "nothing changed" runs
-    behave (``applied_deltas == 0``).
-    """
-    import hashlib
-
-    from .._bootstrap import ensure_importable
-    from ..state.append import (
-        StoreWriteLock,
-        incremental_seed_rows,
-        make_incremental_appender,
-    )
-    from ..stages.canonicalize import extend_canonical_map
-
-    ensure_importable()
-    t0 = time.monotonic()
-    stage_wall: dict = {}
-    _last = [t0]
-
-    def _mark(name: str) -> None:
-        now = time.monotonic()
-        stage_wall[name] = round(now - _last[0], 3)
-        _last[0] = now
-
-    delta_dir = os.path.join(out_dir, "deltas")
-    success_path = os.path.join(delta_dir, deltas_mod.SUCCESS_NAME)
-    if not os.path.exists(success_path):
-        raise ValueError(
-            f"no existing store at {delta_dir!r} — run build() (or "
-            "init_log) first; build_incremental only appends"
-        )
-    with open(success_path) as f:
-        meta = json.load(f)
-    num_partitions = int(meta["num_partitions"])
-    old_snap = [int(t) for t in meta.get("snapshot_times", [])]
-    canon_path = os.path.join(out_dir, "canonical_map.json")
-    old_map = {}
-    if os.path.exists(canon_path):
-        with open(canon_path) as f:
-            old_map = json.load(f)
-
-    # -- stage 1: extract + relations over the NEW pages only ---------------
-    # checkpointed per input batch (keyed by the input path) so a killed
-    # incremental run resumes without re-extracting
-    if isinstance(pages, str):
-        key = hashlib.sha1(pages.encode()).hexdigest()[:12]
-        ds = rd.read_parquet(pages, columns=PAGE_COLUMNS)
-    else:
-        key = "dataset"
-        ds = pages
-    raw_dir = os.path.join(out_dir, f"raw_inc_{key}")
-    raw_success = os.path.join(raw_dir, "_SUCCESS")
-    if key == "dataset" or not os.path.exists(raw_success):
-        raw = ds.map_batches(
-            extract_batch,
-            fn_kwargs={"enforce": enforce_digest},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        ).map_batches(
-            ner_mod.page_relations_batch,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-        shutil.rmtree(raw_dir, ignore_errors=True)
-        raw.write_parquet(raw_dir)
-        with open(raw_success, "w") as f:
-            f.write("{}")
-    _mark("extract_ner_raw")
-    raw_ds = rd.read_parquet(raw_dir)
-
-    # -- stage 2: extend the canonical map (old assignments immutable) ------
-    from ..stages import canonmap as canonmap_mod
-
-    canon_dir = os.path.join(out_dir, "canonical")
-    new_snap = _snapshot_times(raw_ds)
-    if canonical_map == "auto":
-        # follow the store's own layout — appends never flip it
-        canonical_map = (
-            "distributed"
-            if os.path.exists(os.path.join(canon_dir,
-                                           canonmap_mod.META_NAME))
-            else "driver"
-        )
-    if canonical_map == "distributed":
-        if not os.path.exists(os.path.join(canon_dir,
-                                           canonmap_mod.META_NAME)):
-            raise ValueError(
-                f"no persisted canonical store under {canon_dir!r} — "
-                "bootstrap with build(..., canonical_map='distributed')"
-            )
-        canonmap_mod.extend_canonical_store(raw_ds, gazetteer, canon_dir)
-        canon_map_size = canonmap_mod.map_size(canon_dir)
-    else:
-        canon_dict = extend_canonical_map(old_map, raw_ds, gazetteer)
-        from .. import fs as _fs
-
-        _fs.put_text(canon_path, json.dumps(canon_dict, sort_keys=True))
-        gaz_ref = ray.put(gazetteer)
-        canon_ref = ray.put(canon_dict)
-        canon_map_size = len(canon_dict)
-    _mark("canonical_map_and_snapshots")
-
-    # -- stage 3: versions → per-partition segment appends (locked) ---------
-    if canonical_map == "distributed":
-        resolved = canonmap_mod.resolve_triples(raw_ds, canon_dir)
-        if write_triples:
-            # the triples sink consumes the same resolved rows below —
-            # one materialize instead of a second explode + two-join run
-            resolved = resolved.materialize()
-        _s_versions_pid = pa.schema(
-            [("graph_id", pa.string()), ("warc_ts", pa.timestamp("s")),
-             ("delta_text", pa.large_string()), ("digest", pa.binary()),
-             ("partition_id", pa.int32())]
-        )
-        serialized = (
-            resolved.map_batches(
-                add_partition_id,
-                fn_kwargs={"key": "graph_id",
-                           "num_partitions": num_partitions},
-                batch_format="pyarrow",
-            )
-            .groupby("partition_id")
-            .map_groups(canonmap_mod.serialize_partition_frame,
-                        batch_format="pandas")
-            .map_batches(
-                lambda b: b.select(_s_versions_pid.names).cast(
-                    _s_versions_pid),
-                batch_format="pyarrow",
-            )
-        )
-        versions = serialized.union(
-            rd.from_arrow(incremental_seed_rows(num_partitions))
-        )
-    else:
-        serialized = raw_ds.map_batches(
-            link_mod.serialize_versions_batch,
-            fn_kwargs={
-                "gazetteer_ref": gaz_ref,
-                "canonical_map_ref": canon_ref,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        ).map_batches(
-            add_partition_id,
-            fn_kwargs={"key": "graph_id", "num_partitions": num_partitions},
-            batch_format="pyarrow",
-        )
-        versions = serialized.union(
-            rd.from_arrow(incremental_seed_rows(num_partitions))
-        )
-
-    with StoreWriteLock(delta_dir):
-        rows = (
-            versions.groupby("partition_id")
-            .map_groups(
-                make_incremental_appender(delta_dir, new_snap),
-                batch_format="pandas",
-            )
-            .take_all()
-        )
-        deltas_mod.mark_success(
-            delta_dir,
-            {
-                "num_partitions": num_partitions,
-                "partitions_written": num_partitions,
-                "partitions_resumed": 0,
-                "snapshot_times": sorted(set(old_snap) | set(new_snap)),
-            },
-        )
-    applied = int(sum(r["applied"] for r in rows))
-    if write_triples:
-        triples_dir = os.path.join(out_dir, "triples", f"inc_{key}")
-        shutil.rmtree(triples_dir, ignore_errors=True)
-        if canonical_map == "distributed":
-            canonmap_mod.triples_dataset(resolved).write_parquet(
-                triples_dir)
-        else:
-            raw_ds.map_batches(
-                link_mod.emit_triples_batch,
-                fn_kwargs={
-                    "gazetteer_ref": gaz_ref,
-                    "canonical_map_ref": canon_ref,
-                },
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            ).write_parquet(triples_dir)
-    _mark("delta_log_and_triples")
-
-    all_manifests = [
-        deltas_mod.read_manifest(delta_dir, pid)
-        for pid in sorted(deltas_mod.completed_partitions(delta_dir))
-    ]
-    return BuildResult(
-        out_dir=out_dir,
-        num_partitions=num_partitions,
-        manifests=all_manifests,
-        canonical_map_size=canon_map_size,
-        wall_s=time.monotonic() - t0,
-        resumed_partitions=0,
-        stage_wall_s=stage_wall,
-        applied_deltas=applied,
-    )

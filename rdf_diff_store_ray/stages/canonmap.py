@@ -687,6 +687,21 @@ def resolve_triples(raw_ds, canon_dir: str):
     )
 
 
+def marker_rows(rows: pa.Table) -> pa.Table:
+    """(graph_id, warc_ts, partition_id) rows → resolved marker rows with
+    their ``partition_id``: each serializes to one empty version of its
+    graph (:func:`serialize_partition_frame`)."""
+    n = rows.num_rows
+    blank = pa.array([""] * n, pa.string())
+    flag = pa.array([True] * n, pa.bool_())
+    return pa.table({
+        "graph_id": rows["graph_id"], "warc_ts": rows["warc_ts"],
+        "pred": blank, "obj_is_literal": flag, "is_marker": flag,
+        "subj": blank, "obj": blank,
+    }).cast(_S_RESOLVED).append_column("partition_id",
+                                       rows["partition_id"])
+
+
 def triples_dataset(resolved_ds):
     """Resolved rows → the ``TRIPLES`` contract (markers dropped)."""
     def to_triples(batch: pa.Table) -> pa.Table:

@@ -178,21 +178,17 @@ def derive_partition_deltas(
     )
 
 
-class DeltaPartitionWriter:
+def make_partition_writer(out_dir: str, snapshot_times):
     """``map_groups`` callable for one ``partition_id`` group: derive deltas
     for every graph in the partition, write Parquet atomically, emit the
-    manifest summary row. Constructed once per actor; the snapshot grid is
-    a small broadcast (list of unix seconds)."""
+    manifest summary row. The snapshot grid is a small broadcast (list of
+    unix seconds)."""
+    snap = sorted(int(t) for t in snapshot_times)
 
-    def __init__(self, out_dir: str, snapshot_times, num_partitions: int):
-        self.out_dir = out_dir
-        self.snapshot_times = sorted(int(t) for t in snapshot_times)
-        self.num_partitions = num_partitions
-
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
+    def write_delta_partition(group: pd.DataFrame) -> pd.DataFrame:
         t0 = time.monotonic()
         pid = int(group["partition_id"].iloc[0])
-        deltas = derive_partition_deltas(group, self.snapshot_times)
+        deltas = derive_partition_deltas(group, snap)
         if len(deltas):
             deltas["partition_id"] = np.int32(pid)
             # replay-order column: derive emits (graph, ts-ascending) rows
@@ -202,8 +198,8 @@ class DeltaPartitionWriter:
             table = pa.Table.from_pandas(deltas, preserve_index=False).cast(DELTAS)
         else:
             table = DELTAS.empty_table()
-        write_partition(self.out_dir, pid, table, wall_s=time.monotonic() - t0)
-        m = read_manifest(self.out_dir, pid)
+        write_partition(out_dir, pid, table, wall_s=time.monotonic() - t0)
+        m = read_manifest(out_dir, pid)
         return pd.DataFrame(
             {
                 "partition_id": [pid],
@@ -212,15 +208,6 @@ class DeltaPartitionWriter:
                 "content_sha256": [m["content_sha256"]],
             }
         )
-
-
-def make_partition_writer(out_dir: str, snapshot_times, num_partitions: int):
-    """Named-function wrapper for ``map_groups`` (which requires a plain
-    function); closes over a :class:`DeltaPartitionWriter`."""
-    writer = DeltaPartitionWriter(out_dir, snapshot_times, num_partitions)
-
-    def write_delta_partition(group: pd.DataFrame) -> pd.DataFrame:
-        return writer(group)
 
     return write_delta_partition
 

@@ -50,6 +50,7 @@ from ..ntriples import parse, serialize, sha256_text
 from ..schemas import DELTAS, OP_DELETE, OP_UPDATE
 from ..shuffle_utils import partition_ids
 from ..stages import deltas as deltas_mod
+from .reconstruct import latest_rows
 
 
 @dataclass
@@ -132,25 +133,13 @@ def _max_seq(table: pa.Table) -> int:
 
 
 def _latest_by_graph(table: pa.Table) -> dict:
-    """graph_id → (latest_ts_seconds, op, digest). "Latest" = max
-    ``(warc_ts, seq)`` — an explicit total order per graph, independent of
-    sort stability (``pc.sort_indices`` is not stable)."""
-    if table.num_rows == 0:
-        return {}
-    idx = pc.sort_indices(
-        table,
-        sort_keys=[("graph_id", "ascending"), ("warc_ts", "ascending"),
-                   ("seq", "ascending")],
-    )
-    srt = table.take(idx)
-    gids = srt["graph_id"].to_pylist()
-    tss = srt["warc_ts"].cast(pa.timestamp("s")).to_pylist()
-    ops = srt["op"].to_pylist()
-    digs = srt["digest"].to_pylist()
-    out = {}
-    for g, t, o, d in zip(gids, tss, ops, digs):  # later rows overwrite
-        out[g] = (int(pd.Timestamp(t).timestamp()), o, d)
-    return out
+    """graph_id → (latest_ts_seconds, op, digest) of its max-``(warc_ts,
+    seq)`` row (:func:`.reconstruct.latest_rows`)."""
+    latest = latest_rows(table)
+    tss = latest["warc_ts"].cast(pa.timestamp("s")).cast(pa.int64())
+    return dict(zip(latest["graph_id"].to_pylist(),
+                    zip(tss.to_pylist(), latest["op"].to_pylist(),
+                        latest["digest"].to_pylist())))
 
 
 class _PartitionAppender:
@@ -675,7 +664,7 @@ def _truncate_locked(delta_dir: str, before_ts: int) -> int:
             old = merged.filter(pc.less(ts_col, cut))
             new = merged.filter(pc.greater_equal(ts_col, cut))
             # baseline: each graph's latest pre-cut row, live graphs only
-            base = _latest_rows(old)
+            base = latest_rows(old)
             base = base.filter(pc.not_equal(base["op"], OP_DELETE))
             squashed = pa.concat_tables(
                 [base.select(DELTAS.names), new.select(DELTAS.names)]
@@ -705,22 +694,6 @@ def _truncate_locked(delta_dir: str, before_ts: int) -> int:
         .take_all()
     )
     return int(sum(r["removed"] for r in rows))
-
-
-def _latest_rows(table: pa.Table) -> pa.Table:
-    """One row per graph: its max-``(warc_ts, seq)`` row (vectorized
-    last-of-run, the same total order every reader uses)."""
-    if table.num_rows == 0:
-        return table
-    idx = pc.sort_indices(
-        table,
-        sort_keys=[("graph_id", "ascending"), ("warc_ts", "ascending"),
-                   ("seq", "ascending")],
-    )
-    srt = table.take(idx)
-    gids = srt["graph_id"].to_numpy(zero_copy_only=False)
-    last_of_run = np.r_[gids[1:] != gids[:-1], True]
-    return srt.filter(pa.array(last_of_run))
 
 
 def delete_graphs(delta_dir: str, graph_ids, ts: int) -> int:

@@ -93,21 +93,25 @@ def state_at_table(deltas: pa.Table, ts) -> pa.Table:
     t = _ts_scalar(ts)
     deltas = ensure_seq(deltas)  # legacy seq-less tables: row order
     flt = deltas.filter(pc.less_equal(deltas["warc_ts"].cast(pa.timestamp("s")), t))
-    if flt.num_rows == 0:
-        return flt
-    # vectorized per-graph arg-max over (warc_ts, seq): the explicit seq
-    # replay column makes the sort a TOTAL order — same-second ties
-    # resolve by write order, never by sort stability (pc.sort_indices is
-    # not stable)
+    latest = latest_rows(flt)
+    return latest.filter(pc.not_equal(latest["op"], OP_DELETE))
+
+
+def latest_rows(table: pa.Table) -> pa.Table:
+    """One row per graph: its max-``(warc_ts, seq)`` row, by a vectorized
+    per-graph arg-max. The explicit seq replay column makes the sort a
+    TOTAL order — same-second ties resolve by write order, never by sort
+    stability (pc.sort_indices is not stable)."""
+    if table.num_rows == 0:
+        return table
     idx = pc.sort_indices(
-        flt, sort_keys=[("graph_id", "ascending"), ("warc_ts", "ascending"),
-                        ("seq", "ascending")]
+        table, sort_keys=[("graph_id", "ascending"), ("warc_ts", "ascending"),
+                          ("seq", "ascending")]
     )
-    srt = flt.take(idx)
+    srt = table.take(idx)
     gids = srt["graph_id"].to_numpy(zero_copy_only=False)
     last_of_run = np.r_[gids[1:] != gids[:-1], True]
-    latest = srt.filter(pa.array(last_of_run))
-    return latest.filter(pc.not_equal(latest["op"], OP_DELETE))
+    return srt.filter(pa.array(last_of_run))
 
 
 def graphs_at_table(deltas: pa.Table, ts) -> str:

@@ -131,8 +131,7 @@ def test_distributed_incremental_split_equals_full(corpus_split,
           num_partitions=4, resume=False, write_triples=False,
           canonical_map="distributed")
     inc = build_incremental(corpus_split["late"], str(tmp_path / "inc"),
-                            gazetteer=gaz, write_triples=False,
-                            canonical_map="distributed")
+                            gazetteer=gaz, write_triples=False)
     assert inc.applied_deltas > 0
     assert _delta_rows(full.delta_dir) == _delta_rows(
         os.path.join(str(tmp_path / "inc"), "deltas"))
@@ -167,17 +166,20 @@ def test_auto_gate_small_vocab_picks_driver(corpus_split, ray_session,
 
 
 def test_auto_gate_large_vocab_picks_distributed(corpus_split, ray_session,
-                                                 tmp_path):
+                                                 tmp_path, monkeypatch):
     """Above the threshold the auto gate takes the persisted-store path —
     same shared vocabulary pass, no driver dict, identical log — and a
     RESUMED auto build follows the existing layout instead of recounting
     (sticky: appends never flip a store's layout)."""
-    from rdf_diff_store_ray.pipelines.build import build, build_incremental
+    from rdf_diff_store_ray.pipelines import build as build_mod
+    from rdf_diff_store_ray.pipelines.build import build
 
     gaz = corpus_split["gazetteer"]
-    a = build(corpus_split["full"], str(tmp_path / "auto"), gazetteer=gaz,
-              num_partitions=4, resume=False, write_triples=False,
-              auto_vocab_threshold=1)
+    with monkeypatch.context() as m:
+        m.setattr(build_mod, "AUTO_VOCAB_THRESHOLD", 1)
+        a = build(corpus_split["full"], str(tmp_path / "auto"),
+                  gazetteer=gaz, num_partitions=4, resume=False,
+                  write_triples=False)
     assert os.path.exists(str(tmp_path / "auto" / "canonical" /
                               "meta.json"))
     assert not os.path.exists(str(tmp_path / "auto" / "canonical_map.json"))
@@ -195,20 +197,23 @@ def test_auto_gate_large_vocab_picks_distributed(corpus_split, ray_session,
 
 
 def test_auto_incremental_follows_store_layout(corpus_split, ray_session,
-                                               tmp_path):
+                                               tmp_path, monkeypatch):
     """build_incremental's default follows the store it appends to: a
     distributed-bootstrap store gets the O(batch) persisted-index
     extension (no canonical_map.json ever appears), a driver store the
     driver extension — both reproduce the one-shot full build."""
+    from rdf_diff_store_ray.pipelines import build as build_mod
     from rdf_diff_store_ray.pipelines.build import build, build_incremental
 
     gaz = corpus_split["gazetteer"]
     full = build(corpus_split["full"], str(tmp_path / "full"),
                  gazetteer=gaz, num_partitions=4, resume=False,
                  write_triples=False, canonical_map="distributed")
-    build(corpus_split["early"], str(tmp_path / "inc"), gazetteer=gaz,
-          num_partitions=4, resume=False, write_triples=False,
-          auto_vocab_threshold=1)  # auto → distributed bootstrap
+    with monkeypatch.context() as m:
+        m.setattr(build_mod, "AUTO_VOCAB_THRESHOLD", 1)
+        build(corpus_split["early"], str(tmp_path / "inc"), gazetteer=gaz,
+              num_partitions=4, resume=False,
+              write_triples=False)  # auto → distributed bootstrap
     inc = build_incremental(corpus_split["late"], str(tmp_path / "inc"),
                             gazetteer=gaz, write_triples=False)  # auto
     assert inc.applied_deltas > 0

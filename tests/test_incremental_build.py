@@ -254,3 +254,76 @@ def test_incremental_build_on_truncated_store(split_corpus, ray_session,
     assert fsck_ok(fsck_store(inc_squash.delta_dir)), (
         fsck_store(inc_squash.delta_dir).to_pandas()
     )
+
+
+def _triple_rows(path, since=None):
+    """Sorted triples-table rows under ``path`` (every parquet file below
+    it), optionally only those at or after ``since`` (unix seconds)."""
+    t = pads.dataset(path).to_table()
+    rows = zip(
+        t["subj"].to_pylist(), t["pred"].to_pylist(), t["obj"].to_pylist(),
+        t["obj_is_literal"].to_pylist(), t["graph_id"].to_pylist(),
+        [int(pd.Timestamp(x).timestamp()) for x in t["warc_ts"].to_pylist()],
+    )
+    return sorted(r for r in rows if since is None or r[5] >= since)
+
+
+@pytest.fixture(scope="module")
+def full_triples(split_corpus, ray_session, tmp_path_factory):
+    """The one-shot full build's triples table rows."""
+    from rdf_diff_store_ray.pipelines.build import build
+
+    res = build(
+        split_corpus["full"], str(tmp_path_factory.mktemp("full_triples")),
+        gazetteer=split_corpus["gazetteer"], num_partitions=4, resume=False,
+    )
+    return _triple_rows(res.triples_dir)
+
+
+def test_dataset_batches_keep_each_others_triples(split_corpus, full_triples,
+                                                  ray_session, tmp_path):
+    """Two Dataset batches appended one after the other each keep their
+    own triples: the second must not overwrite the first's directory,
+    and a re-run of a batch replaces only its own rows."""
+    import ray.data as rd
+
+    from rdf_diff_store_ray.pipelines.build import (
+        PAGE_COLUMNS, build, build_incremental,
+    )
+
+    gaz = split_corpus["gazetteer"]
+    out = str(tmp_path / "kg")
+    build(split_corpus["early"], out, gazetteer=gaz, num_partitions=4,
+          resume=False)
+    late = pq.read_table(split_corpus["late"], columns=PAGE_COLUMNS)
+    cut = pd.Timestamp(EPOCH + 5 * SNAPSHOT_STEP, unit="s")
+    ts = late["warc_ts"].to_pandas()
+    batches = [late.filter(pa.array(ts < cut)),
+               late.filter(pa.array(ts >= cut))]
+    assert all(b.num_rows for b in batches)
+    for b in batches:
+        build_incremental(rd.from_arrow(b), out, gazetteer=gaz)
+    assert _triple_rows(os.path.join(out, "triples")) == full_triples
+    build_incremental(rd.from_arrow(batches[1]), out, gazetteer=gaz)
+    assert _triple_rows(os.path.join(out, "triples")) == full_triples
+
+
+def test_incremental_triples_sink_on_both_layouts(split_corpus, full_triples,
+                                                  ray_session, tmp_path):
+    """The incremental triples sink writes the same rows on a driver-map
+    store and on a distributed-map store, and they equal the full build's
+    triples for the appended instants."""
+    from rdf_diff_store_ray.pipelines.build import build, build_incremental
+
+    gaz = split_corpus["gazetteer"]
+    got = {}
+    for layout in ("driver", "distributed"):
+        out = str(tmp_path / layout)
+        build(split_corpus["early"], out, gazetteer=gaz, num_partitions=4,
+              resume=False, write_triples=False, canonical_map=layout)
+        inc = build_incremental(split_corpus["late"], out, gazetteer=gaz)
+        assert inc.applied_deltas > 0
+        got[layout] = _triple_rows(inc.triples_dir)
+    assert got["driver"] == got["distributed"]
+    assert got["driver"] == [r for r in full_triples
+                             if r[5] >= EPOCH + 3 * SNAPSHOT_STEP]
