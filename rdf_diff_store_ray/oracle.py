@@ -93,11 +93,13 @@ class RefDiffStore:
 
     def combined_graph(self, ts: int) -> str:
         """All live graphs merged into one canonical N-Triples doc (union +
-        dedup, graph identity erased — ``src/query.rs:148-169``)."""
-        triples = set()
-        for text in self.checkout(ts).values():
-            triples.update(ntriples.parse(text))
-        return ntriples.serialize(triples)
+        dedup, graph identity erased — ``src/query.rs:148-169``): the
+        sorted distinct lines of the live graphs' canonical texts. Each
+        graph keeps its own blank-node labels — one graph's labels never
+        change because another graph is live beside it."""
+        lines = {ln for text in self.checkout(ts).values()
+                 for ln in text.split("\n") if ln}
+        return "".join(ln + "\n" for ln in sorted(lines))
 
     def metadata(self):
         """(start_time, end_time) or (None, None) for an empty store."""

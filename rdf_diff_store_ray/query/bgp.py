@@ -19,10 +19,11 @@ Query syntax::
     { ?s <p1> ?o } UNION { ?s <p2> ?o }
     ?s <p> "name"@en . ?s <q> "5"^^<http://www.w3.org/2001/XMLSchema#integer>
 
-:class:`DiffStoreReader` mirrors the reference's ``QueryCache`` —
-three LRU caches (``store_cache: ts→store``, ``graphs_cache: ts→text``,
-``query_cache: (ts,query)→result``, 1000 entries each,
-``src/query.rs:28-43``) with the same ``CacheLevel`` reporting
+:class:`DiffStoreReader` mirrors the reference's ``QueryCache``
+(``src/query.rs:28-43``) through the shared front door
+(:mod:`.front`): a ``(ts, query)`` LRU and one per-instant LRU of the
+forms materialized at ``ts`` (triple table, quad table, merged
+document), 1000 entries each, with the same ``CacheLevel`` reporting
 (``src/query.rs:14-26``). At cluster scale one reader actor serves each
 delta-log partition and a router merges bindings; in-sandbox a single
 reader holds the (small) log.
@@ -1892,7 +1893,7 @@ def _parse_path_token(t: str):
     return node
 
 
-def eval_bgp(triples: pa.Table, query: str,
+def eval_bgp(triples: pa.Table, query: "str | dict",
              quads: "pa.Table | None" = None,
              service_tables: "dict | None" = None,
              finalize: bool = True) -> pd.DataFrame:
@@ -1910,8 +1911,10 @@ def eval_bgp(triples: pa.Table, query: str,
     ``finalize=False`` returns the TAGGED frame instead of the
     finalized one — the engine-to-engine federation wire needs term
     KIND, which finalization deliberately drops. Plain SELECT groups
-    only (:func:`_tagged_result`)."""
-    group = parse_query(query)
+    only (:func:`_tagged_result`).
+
+    ``query`` is the query text or its :func:`parse_query` group."""
+    group = parse_query(query) if isinstance(query, str) else query
     service_eval = service_evaluator(service_tables)
     fg, fn = group.get("from_graphs"), group.get("from_named")
     if fg or fn:
@@ -4157,10 +4160,9 @@ def http_service_bindings(endpoint: str, raw_pattern: str) -> pd.DataFrame:
 
 class DiffStoreReader(AsOfReads):
     """Cached reader over a delta-log table (one partition or a whole small
-    store) behind the shared as-of front door (:mod:`.front`). Its
-    state caches mirror the reference's ``QueryCache``
-    (``src/query.rs:28-43``): instant → triple table / quad table /
-    merged document, beside the front door's (ts, query) cache."""
+    store) behind the shared as-of front door (:mod:`.front`), whose
+    per-instant cache holds the forms materialized here from the live
+    canonical lines (:mod:`..state.reconstruct`)."""
 
     def __init__(self, deltas: pa.Table, cache_capacity: int = 1000,
                  registry=None, services: "dict | None" = None):
@@ -4171,51 +4173,19 @@ class DiffStoreReader(AsOfReads):
         # process (HTTP SPARQL protocol)
         super().__init__(services, registry, cache_capacity)
         self.deltas = deltas
-        self.store_cache = LRU(cache_capacity)  # ts -> triple table
-        self.quads_cache = LRU(cache_capacity)  # ts -> quad table (GRAPH)
-        self.graphs_cache = LRU(cache_capacity)  # ts -> canonical text
 
-    def _store_at(self, ts) -> pa.Table:
-        k = ts_key(ts)
-        hit = self.store_cache.get(k)
-        if hit is not None:
-            return hit
-        store = reconstruct.triples_at_table(self.deltas, k)
-        self.store_cache.put(k, store)
-        return store
-
-    def _quads_at(self, ts) -> pa.Table:
-        k = ts_key(ts)
-        hit = self.quads_cache.get(k)
-        if hit is not None:
-            return hit
-        quads = reconstruct.quads_at_table(self.deltas, k)
-        self.quads_cache.put(k, quads)
-        return quads
-
-    def _store_warm(self, k: int) -> bool:
-        return self.store_cache.get(k) is not None
-
-    def _graphs_text(self, k: int) -> "tuple[str, str]":
-        hit = self.graphs_cache.get(k)
-        if hit is not None:
-            return hit, "Prettified"
-        level = "Graph" if self._store_warm(k) else "Nothing"
-        from ..ntriples import serialize
-
-        text = serialize(
-            (r["subj"], r["pred"], r["obj"], r["obj_is_literal"])
-            for r in self._store_at(k).to_pylist()
-        )
-        self.graphs_cache.put(k, text)
-        return text, level
+    def _materialize(self, form: str, k: int):
+        make = {"store": reconstruct.triples_at_table,
+                "quads": reconstruct.quads_at_table,
+                "graphs": reconstruct.graphs_at_table}[form]
+        return make(self.deltas, k)
 
     def _evaluate(self, group: dict, query: str, k: int,
                   endpoints: "dict | None", finalize: bool) -> pd.DataFrame:
         need_quads = (group.get("from_graphs") or group.get("from_named")
                       or any(g.get("graphs") for g in walk_groups(group)))
-        return eval_bgp(self._store_at(k), query,
-                        quads=self._quads_at(k) if need_quads else None,
+        return eval_bgp(self._at(k, "store"), group,
+                        quads=self._at(k, "quads") if need_quads else None,
                         service_tables=endpoints, finalize=finalize)
 
     def graph_at(self, graph_id: str, ts) -> "str | None":

@@ -16,13 +16,22 @@ here, once, so the doors cannot drift apart:
 - the result formats (SPARQL JSON / CSV / TSV and the engine-to-engine
   tagged wire).
 
+One per-instant cache serves both backends: ``instants`` maps an
+instant ``k`` to the forms materialized at ``k`` (``"store"``, the
+triple table; ``"quads"``, the quad table; ``"graphs"``, the merged
+document). It holds the one cache-level rule:
+
+- a query reports ``Store`` iff ``k`` has an entry, else ``Nothing``;
+- a graphs read reports ``Prettified`` iff the document is cached,
+  ``Graph`` iff ``k`` has an entry, else ``Nothing``.
+
 A backend supplies only the state-specific steps: evaluate a parsed
 query at instant ``k`` (:meth:`AsOfReads._evaluate` — local table scan,
-or per-pattern push-down to partition actors), the merged graph text at
-``k`` (:meth:`AsOfReads._graphs_text`), and whether the state at ``k``
-is already materialized (:meth:`AsOfReads._store_warm`). The partition
-actor is thereby a stateful entity behind the same interface as the
-in-process reader ("Stateful Entities", CIDR 2023).
+or per-pattern push-down to partition actors) and materialize one form
+at ``k`` (:meth:`AsOfReads._materialize` — from the delta table, or on
+the router the line union of the partition actors' documents). The
+partition actor is thereby a stateful entity behind the same interface
+as the in-process reader ("Stateful Entities", CIDR 2023).
 
 The evaluator entry points (``bgp.parse_query``, ``bgp.bindings_json``,
 …) are looked up on the module at call time, so timing shims installed
@@ -83,6 +92,7 @@ class AsOfReads:
         # URL of a live server; see _endpoint
         self.services = dict(services or {})
         self.query_cache = LRU(cache_capacity)  # (ts, q) -> bindings df
+        self.instants = LRU(cache_capacity)  # k -> {form: value}
         self.registry = REGISTRY if registry is None else registry
         self.last_cache_level: str = "Nothing"
 
@@ -93,13 +103,26 @@ class AsOfReads:
         finalized, or tagged when ``finalize`` is False."""
         raise NotImplementedError
 
-    def _graphs_text(self, k: int) -> "tuple[str, str]":
-        """(merged canonical N-Triples at ``k``, cache level)."""
+    def _materialize(self, form: str, k: int):
+        """The form ``form`` of the state at ``k`` (see the module doc)."""
         raise NotImplementedError
 
-    def _store_warm(self, k: int) -> bool:
-        """Whether the state at ``k`` is already materialized."""
-        raise NotImplementedError
+    # -------------------------------------------------- instant cache
+    def _entry(self, k: int) -> "tuple[dict, bool]":
+        """(the forms cached at ``k``, whether ``k`` had an entry)."""
+        entry = self.instants.get(k)
+        if entry is not None:
+            return entry, True
+        entry = {}
+        self.instants.put(k, entry)
+        return entry, False
+
+    def _at(self, k: int, form: str):
+        """The form ``form`` at ``k``, materialized once per instant."""
+        entry, _ = self._entry(k)
+        if form not in entry:
+            entry[form] = self._materialize(form, k)
+        return entry[form]
 
     # ------------------------------------------------------- endpoints
     def _endpoint(self, iri: str, k: int):
@@ -119,7 +142,7 @@ class AsOfReads:
                 else ep
         if isinstance(ep, str):
             ep = self.services[iri] = DiffStoreReader(load_deltas(ep))
-        return ep._store_at(k)
+        return ep._at(k, "store")
 
     def _wire_latest(self, iris) -> bool:
         """True when an endpoint answers with its LATEST state (see
@@ -168,7 +191,7 @@ class AsOfReads:
         if res is not None:
             level = "Query"
         else:
-            level = "Store" if self._store_warm(k) else "Nothing"
+            level = "Store" if self._entry(k)[1] else "Nothing"
             if g is None:
                 g = bgp.parse_query(query)
             endpoints = {iri: ep for iri in iris
@@ -204,7 +227,11 @@ class AsOfReads:
     def graphs(self, ts) -> "tuple[str, str]":
         """``(merged canonical N-Triples at ts, cache level)``."""
         t0 = time.monotonic()
-        text, level = self._graphs_text(ts_key(ts))
+        k = ts_key(ts)
+        entry, seen = self._entry(k)
+        level = ("Prettified" if "graphs" in entry
+                 else "Graph" if seen else "Nothing")
+        text = self._at(k, "graphs")
         self._record("graphs", level, t0)
         return text, level
 

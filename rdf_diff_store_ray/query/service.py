@@ -4,12 +4,15 @@ partition + a driver-side router that merges partial results.
 This is the cluster-scale form of :class:`..query.bgp.DiffStoreReader`
 (which holds a whole small log in one process) and the engine analog of
 the reference's query-cache deployment — a pool of 32 repo clones each
-serving reads with three LRU caches
+serving reads with its LRU caches
 (``/root/reference/src/bin/rdf-query-cache.rs:137,170``,
 ``src/query.rs:28-43``). Raw Ray actors are justified here (not a
 Dataset stage): each actor owns a *shared mutable index* — its
 partition's delta table plus warm LRU caches that persist across
-queries — which the streaming-batch model cannot express.
+queries — which the streaming-batch model cannot express. The router
+sits behind the same front door (:mod:`.front`) as every actor's
+reader, with the same per-instant LRU and cache-level rule; the one
+form it materializes itself is the merged document.
 
 Correctness of the merge relies on the build's partitioning invariant:
 the delta log is hash-partitioned by ``graph_id``, so every graph's full
@@ -18,7 +21,10 @@ and BGP matching are therefore per-partition-local:
 
 - ``graphs_at``: union of per-partition canonical N-Triples documents =
   sorted-unique merge of their lines (set-union semantics of the
-  reference's merged store, ``src/query.rs:127-139``);
+  reference's merged store, ``src/query.rs:127-139``), by the same
+  :func:`..state.reconstruct.union_document` that merges one store's
+  live graphs — so every door serves the same bytes, blank-node labels
+  included;
 - ``query_at``: a single-pattern query with row-local filters and no
   nested group is evaluated per partition against that partition's live
   triples and the bindings are concatenated, deduplicated and sorted
@@ -39,10 +45,11 @@ import os
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..shuffle_utils import drop_duplicates_nul_safe as _ddsafe
-from ..shuffle_utils import sort_values_nul_safe
+from ..state import reconstruct
 from .bgp import DiffStoreReader
 from .front import AsOfReads, ts_key
 
@@ -74,7 +81,7 @@ class PartitionReaderActor:
         if hit is not None:
             return hit
         pat = parse_query(pattern_str)["patterns"][0]
-        out = eval_one_pattern(self.reader._store_at(k).to_pandas(), pat)
+        out = eval_one_pattern(self.reader._at(k, "store").to_pandas(), pat)
         self.reader.query_cache.put(key, out)
         return out
 
@@ -93,7 +100,8 @@ class PartitionReaderActor:
             return hit
         pat = parse_query(pattern_str)["patterns"][0]
         out = eval_pattern_in_graph(
-            self.reader._quads_at(k).to_pandas(), pat, _parse_term(gterm_str)
+            self.reader._at(k, "quads").to_pandas(), pat,
+            _parse_term(gterm_str)
         )
         self.reader.query_cache.put(key, out)
         return out
@@ -109,7 +117,7 @@ class PartitionReaderActor:
         hit = self.reader.query_cache.get(key)
         if hit is None:
             hit = graph_node_terms(
-                self.reader._store_at(k).to_pandas()
+                self.reader._at(k, "store").to_pandas()
             ).to_frame(name="__node")
             self.reader.query_cache.put(key, hit)
         return hit
@@ -185,12 +193,6 @@ class QueryService(AsOfReads):
             )
             for d in self.partition_dirs
         ]
-        from .bgp import LRU
-
-        # instants this router has read at → "store" / "graphs": its cache
-        # levels follow the call sequence exactly as the in-process
-        # reader's store/graphs caches do (same capacity)
-        self._instants = LRU(self.query_cache.cap)
 
     # defined on the class itself, not only inherited: the traced
     # benchmark patches QueryService.__dict__ (perfbench/tracing.py)
@@ -200,20 +202,13 @@ class QueryService(AsOfReads):
     def graphs_at(self, ts) -> str:
         return AsOfReads.graphs_at(self, ts)
 
-    def _store_warm(self, k: int) -> bool:
-        if self._instants.get(k) is not None:
-            return True
-        self._instants.put(k, "store")
-        return False
-
-    def _graphs_text(self, k: int) -> "tuple[str, str]":
-        seen = self._instants.get(k)
-        level = {"graphs": "Prettified", "store": "Graph"}.get(seen,
-                                                                "Nothing")
-        self._instants.put(k, "graphs")
+    def _materialize(self, form: str, k: int) -> str:
+        """The router materializes one form, the merged document: the
+        line union of the partition actors' documents, by the same merge
+        as one store's ``graphs_at``. Queries run in the actors."""
+        assert form == "graphs", form
         texts = ray.get([a.graphs_at.remote(k) for a in self.actors])
-        lines = sorted({ln for t in texts for ln in t.splitlines() if ln})
-        return ("\n".join(lines) + "\n" if lines else ""), level
+        return reconstruct.union_document(texts)
 
     def _evaluate(self, g: dict, query: str, k: int,
                   endpoints: "dict | None", finalize: bool) -> pd.DataFrame:
@@ -435,7 +430,9 @@ class QueryService(AsOfReads):
         ])
         n = 0
         tmp_out = out_path + ".tmp"
-        files = [open(p, "r", encoding="utf-8") for p in part_paths]
+        # newline="\n": a line ends at "\n" only, as in graphs_at
+        files = [open(p, "r", encoding="utf-8", newline="\n")
+                 for p in part_paths]
         try:
             with open(tmp_out, "w", encoding="utf-8") as out:
                 prev = None
@@ -457,16 +454,10 @@ class QueryService(AsOfReads):
         partition actor computes blame over its own graphs in parallel,
         the router concatenates — no cross-partition state, the same
         ownership argument as :meth:`graph_at`. Sorted (graph_id, line)."""
-        parts = ray.get([a.blame_at.remote(ts) for a in self.actors])
-        tables = [p for p in parts if p.num_rows]
-        if not tables:
-            return pd.DataFrame(
-                {"graph_id": [], "line": [], "since_ts": []}
-            ).astype({"since_ts": "datetime64[s]"})
-        return sort_values_nul_safe(
-            pa.concat_tables(tables).to_pandas(),
-            ["graph_id", "line"], ignore_index=True,
-        )
+        t = pa.concat_tables(
+            ray.get([a.blame_at.remote(ts) for a in self.actors]))
+        return t.take(pc.sort_indices(t, sort_keys=[
+            ("graph_id", "ascending"), ("line", "ascending")])).to_pandas()
 
     def metadata(self):
         metas = [m for m in ray.get([a.metadata.remote() for a in self.actors])

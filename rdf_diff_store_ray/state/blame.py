@@ -17,149 +17,81 @@ Semantics:
   so it breaks every line's run (delete + re-add re-blames all lines).
 - Graphs whose latest op at ``ts`` is ``delete`` are absent.
 
-Execution paths mirror :mod:`..state.reconstruct`: a vectorized
-single-table path (no Ray) and a distributed path that reuses the log's
-own ``graph_id`` hash-partitioning — one bounded keyed shuffle, all
-line algebra columnar inside each partition, nothing driver-sized.
+:func:`blame_table` is one more kernel over the lines primitive of
+:mod:`.reconstruct`: it explodes every version row ``<= ts`` with the
+same :func:`.reconstruct.explode_lines` and sorts with Arrow, which
+compares full bytes (NUL-distinct graph ids stay distinct). The
+distributed :func:`blame` runs it per partition through the shared
+Dataset driver :func:`.reconstruct.per_partition`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schemas import OP_DELETE
-from ..shuffle_utils import sort_values_nul_safe
-from .reconstruct import _ts_pandas, _ts_scalar
-
-_EMPTY = {"graph_id": object, "line": object}
+from ..schemas import OP_DELETE, ensure_seq
+from . import reconstruct
 
 
-def _empty_frame() -> pd.DataFrame:
-    out = pd.DataFrame({c: pd.Series(dtype=t) for c, t in _EMPTY.items()})
-    out["since_ts"] = pd.Series(dtype="datetime64[s]")
+def _starts(a: np.ndarray) -> np.ndarray:
+    """True where ``a[i]`` differs from ``a[i - 1]`` (and at ``i = 0``)."""
+    out = np.ones(len(a), bool)
+    out[1:] = a[1:] != a[:-1]
     return out
 
 
-def blame_frame(group: pd.DataFrame, ts) -> pd.DataFrame:
-    """Vectorized blame over one partition's delta rows.
-
-    Returns one ``(graph_id, line, since_ts)`` row per canonical line
-    live at ``ts``. Canonical text is sorted + deduped so a (graph,
-    line, version) triple is unique — line-level runs equal triple-level
-    runs with no parsing.
-    """
-    t = _ts_pandas(ts)
-    g = group[group["warc_ts"].dt.floor("s") <= t]
-    if g.empty:
-        return _empty_frame()
-    keys = ["graph_id", "warc_ts"] + (["seq"] if "seq" in g.columns else [])
-    # NUL-safe: pandas multi-key sort AND object-key groupby both
-    # factorize through the truncating C-string table — NUL-distinct
-    # graph ids would interleave / share one vrank stream
-    from ..shuffle_utils import _col_codes_nul_safe
-
-    g = sort_values_nul_safe(g, keys, ignore_index=True)
-    g["vrank"] = g.groupby(
-        _col_codes_nul_safe(g["graph_id"])
-    ).cumcount()
-    last = g.drop_duplicates(subset=["graph_id"], keep="last")
-    live = last[last["op"] != OP_DELETE]
-    if live.empty:
-        return _empty_frame()
-    last_rank = dict(zip(live["graph_id"], live["vrank"]))
-
-    sub = g[g["graph_id"].isin(last_rank)]
-    # explode via repeat, NOT set_index(...).explode(): a multi-key
-    # pandas MultiIndex FACTORIZES object levels through the same
-    # NUL-truncating C-string table, so reset_index() hands back the
-    # first NUL-twin's graph_id for every twin (measured)
-    parts = sub["delta_text"].str.split("\n")
-    lens = parts.str.len().to_numpy()
-    ex = pd.DataFrame({
-        "graph_id": np.repeat(sub["graph_id"].to_numpy(object), lens),
-        "vrank": np.repeat(sub["vrank"].to_numpy(), lens),
-        "warc_ts": np.repeat(sub["warc_ts"].to_numpy(), lens),
-        "line": np.concatenate([np.asarray(p, dtype=object)
-                                for p in parts.to_numpy()])
-        if len(sub) else np.array([], dtype=object),
-    })
-    ex = ex[ex["line"].notna() & (ex["line"] != "")]
-    if ex.empty:
-        return _empty_frame()
-    ex = sort_values_nul_safe(ex, ["graph_id", "line", "vrank"])
-
-    gid = ex["graph_id"].to_numpy()
-    line = ex["line"].to_numpy()
-    vr = ex["vrank"].to_numpy()
-    new_key = np.r_[True, (gid[1:] != gid[:-1]) | (line[1:] != line[:-1])]
-    # a run breaks when the (graph, line) key changes OR the line skipped
-    # a version rank (absent from some intermediate version, incl. deletes)
-    brk = new_key | np.r_[True, vr[1:] != vr[:-1] + 1]
-    run_id = np.cumsum(brk)
-
-    run_last = np.r_[run_id[1:] != run_id[:-1], True]
-    last_rows = ex[run_last]
-    lr = last_rows["graph_id"].map(last_rank).to_numpy()
-    live_runs = run_id[run_last][last_rows["vrank"].to_numpy() == lr]
-
-    first_rows = ex[brk].assign(run_id=run_id[brk])
-    out = first_rows[first_rows["run_id"].isin(set(live_runs.tolist()))]
-    return (
-        out[["graph_id", "line", "warc_ts"]]
-        .rename(columns={"warc_ts": "since_ts"})
-        .reset_index(drop=True)
-    )
+def _ends(starts: np.ndarray) -> np.ndarray:
+    """True at the last element of each run that ``starts`` opens."""
+    return np.r_[starts[1:], True][:len(starts)]
 
 
 def blame_table(deltas: pa.Table, ts) -> pa.Table:
-    """Single-table blame (pyarrow in / pyarrow out, no Ray) — the query
-    reader's path, same contract as :func:`..state.reconstruct.state_at_table`."""
-    from ..schemas import ensure_seq
+    """``(graph_id, line, since_ts)`` per canonical line live at ``ts``,
+    sorted by ``(graph_id, line)``. Canonical text is sorted + deduped so
+    a (graph, line, version) triple is unique — line-level runs equal
+    triple-level runs with no parsing."""
+    t = ensure_seq(deltas)
+    t = t.filter(pc.less_equal(t["warc_ts"].cast(pa.timestamp("s")),
+                               reconstruct._ts_scalar(ts)))
+    t = t.take(pc.sort_indices(t, sort_keys=[
+        ("graph_id", "ascending"), ("warc_ts", "ascending"),
+        ("seq", "ascending")]))
+    gid = t["graph_id"].to_numpy(zero_copy_only=False)
+    starts = _starts(gid)
+    graph = np.cumsum(starts) - 1  # row -> its graph's run
+    vrank = np.arange(len(gid)) - np.flatnonzero(starts)[graph]
+    last = np.flatnonzero(_ends(starts))
+    live = t["op"].to_numpy(zero_copy_only=False)[last] != OP_DELETE
+    t = t.append_column("vrank", pa.array(vrank, pa.int64()))
+    t = t.append_column("last_rank", pa.array(vrank[last][graph], pa.int64()))
+    ex = reconstruct.explode_lines(
+        t.filter(pa.array(live[graph], pa.bool_())),
+        ("graph_id", "warc_ts", "vrank", "last_rank"))
+    ex = ex.take(pc.sort_indices(ex, sort_keys=[
+        ("graph_id", "ascending"), ("line", "ascending"),
+        ("vrank", "ascending")]))
 
-    df = ensure_seq(deltas).to_pandas()
-    out = sort_values_nul_safe(blame_frame(df, ts), ["graph_id", "line"],
-                               ignore_index=True)
-    return pa.table(
-        {
-            "graph_id": pa.array(out["graph_id"], pa.string()),
-            "line": pa.array(out["line"], pa.string()),
-            "since_ts": pa.Array.from_pandas(
-                out["since_ts"], type=pa.timestamp("s")
-            ),
-        }
-    )
+    g = ex["graph_id"].to_numpy(zero_copy_only=False)
+    line = ex["line"].to_numpy(zero_copy_only=False)
+    vr = ex["vrank"].to_numpy()
+    # a run breaks when the (graph, line) key changes OR the line skipped
+    # a version rank (absent from some intermediate version, incl. deletes)
+    brk = _starts(g) | _starts(line) | _starts(vr - np.arange(len(vr)))
+    run = np.cumsum(brk) - 1
+    # a run is live when its last version is its graph's last version
+    live_run = (vr == ex["last_rank"].to_numpy())[_ends(brk)]
+    out = ex.filter(pa.array(brk & live_run[run], pa.bool_()))
+    return pa.table({
+        "graph_id": out["graph_id"].cast(pa.string()),
+        "line": out["line"].cast(pa.string()),
+        "since_ts": out["warc_ts"].cast(pa.timestamp("s")),
+    })
 
 
-def blame(deltas_ds, ts, num_partitions: int = 64):
-    """Distributed blame: graphs hash into bounded partitions (the delta
-    log's own key, so its partitioning is reused), each partition runs
-    the vectorized pass — one keyed shuffle, rows past ``ts`` never
-    enter it, no driver-side state."""
-
-    def upto(batch: pa.Table) -> pa.Table:
-        return batch.filter(
-            pc.less_equal(
-                batch["warc_ts"].cast(pa.timestamp("s")), _ts_scalar(ts)
-            )
-        )
-
-    def add_pid(batch: pa.Table) -> pa.Table:
-        from ..shuffle_utils import add_partition_id
-
-        return add_partition_id(
-            batch, key="graph_id", num_partitions=num_partitions,
-            col="state_pid",
-        )
-
-    def blame_partition(group: pd.DataFrame) -> pd.DataFrame:
-        return blame_frame(group, ts)
-
-    return (
-        deltas_ds.map_batches(upto, batch_format="pyarrow")
-        .map_batches(add_pid, batch_format="pyarrow")
-        .groupby("state_pid")
-        .map_groups(blame_partition, batch_format="pandas")
-    )
+def blame(deltas_ds, ts):
+    """Distributed blame: every partition of the shared Dataset driver
+    runs :func:`blame_table` over its graphs' versions ``<= ts``."""
+    return reconstruct.per_partition(deltas_ds, ts,
+                                     lambda t: blame_table(t, ts))

@@ -1,4 +1,4 @@
-"""State-at-timestamp reconstruction and store metadata.
+"""As-of reads over the delta log: one kernel, two drivers.
 
 Semantics (reference parity):
 
@@ -13,14 +13,32 @@ Semantics (reference parity):
 - ``metadata()``: (first, last) delta time (``repo_metadata``,
   ``src/git.rs:78-85``).
 
-Two execution paths:
+One primitive: every read form derives from the live graphs' canonical
+N-Triples LINES. Canonical text is sorted and deduped
+(:mod:`..ntriples`), so line-level set algebra equals triple-level set
+algebra. One Arrow exploder (:func:`explode_lines`) produces the lines;
+Arrow hashes and sorts full bytes, so NUL-bearing graph ids and
+literals are safe by construction, with no per-site guard.
 
-- **Dataset path** (scales): ``groupby(graph_id).map_groups(latest)`` over
-  the delta Dataset — a keyed shuffle; partition pruning applies because
-  the log is hash-partitioned by graph_id.
-- **Table path** (pyarrow, no Ray): used by the cached query reader on a
-  single partition's (or a small store's) delta table; vectorized sort +
-  group-take-last, no Python row loop.
+- ``graphs_at_table``: the sorted distinct live lines
+  (:func:`union_document`) — no parse, no re-serialization, so each
+  graph keeps its own blank-node labels;
+- ``triples_at_table``: one ``ntriples.parse`` over the distinct lines;
+- ``quads_at_table``: one ``ntriples.parse`` over the live lines, with
+  their graph ids;
+- ``diff_table``: unchanged graphs skipped by digest, then a set
+  difference on ``(graph_id, line)``;
+- ``blame_table`` (:mod:`.blame`): the lines of every version ``<= ts``.
+
+Two drivers run the kernels:
+
+- **Table path** (pyarrow, no Ray): the kernels on one delta table —
+  the query reader's path over a partition or a small store.
+- **Dataset path** (scales): ``state_at``, ``diff_between`` and
+  ``blame`` filter rows to ``<= ts``, hash ``graph_id`` into
+  :data:`NUM_PARTITIONS` bounded partitions (the log's own key, so every
+  graph's history lands in one partition) and run the table kernel per
+  partition — one keyed shuffle, nothing driver-sized.
 """
 
 from __future__ import annotations
@@ -32,7 +50,11 @@ import pyarrow.compute as pc
 
 from .. import ntriples
 from ..schemas import OP_DELETE
-from ..shuffle_utils import sort_values_nul_safe
+
+# bounded shuffle width of the Dataset path: graph cardinality is
+# corpus-scale, so one map_groups per graph would pay Ray's per-group
+# overhead once per url
+NUM_PARTITIONS = 64
 
 
 def _ts_scalar(ts) -> pa.Scalar:
@@ -85,7 +107,7 @@ def prune_log_files(files, ts) -> list:
     return keep
 
 
-# ---------------------------------------------------------------- table path
+# ---------------------------------------------------------------- kernels
 def state_at_table(deltas: pa.Table, ts) -> pa.Table:
     """Live (graph_id, warc_ts, delta_text, digest) rows at ``ts``."""
     from ..schemas import ensure_seq
@@ -114,110 +136,83 @@ def latest_rows(table: pa.Table) -> pa.Table:
     return srt.filter(pa.array(last_of_run))
 
 
+def explode_lines(table: pa.Table, carry) -> pa.Table:
+    """One row per canonical line of each row's ``delta_text``: the
+    ``carry`` columns repeated, then ``line``. Empty lines (the trailing
+    one of every text, the whole of an empty graph) are dropped."""
+    parts = pc.split_pattern(table["delta_text"], "\n")
+    lines = pc.list_flatten(parts)
+    parent = pc.list_parent_indices(parts)
+    out = pa.table({**{c: table[c].take(parent) for c in carry},
+                    "line": lines})
+    return out.filter(pc.not_equal(lines, ""))
+
+
+def union_document(texts) -> str:
+    """The canonical document of the union of canonical documents
+    ``texts``: their distinct lines sorted bytewise, joined with
+    ``"\n"`` plus a trailing ``"\n"`` (``""`` if there are none). The
+    one merge of ``graphs_at`` — over a store's live graphs here, over
+    the partition actors' documents on the router."""
+    lines = pc.unique(explode_lines(pa.table({"delta_text": texts}), ())["line"])
+    if len(lines) == 0:
+        return ""
+    return _joined(lines.take(pc.sort_indices(lines))) + "\n"
+
+
+def _joined(lines) -> str:
+    """``lines`` joined with ``"\n"`` by one Arrow kernel — no Python
+    string per line."""
+    flat = pc.cast(lines, pa.large_string())
+    if isinstance(flat, pa.ChunkedArray):
+        flat = flat.combine_chunks()
+    one = pa.LargeListArray.from_arrays(pa.array([0, len(flat)], pa.int64()),
+                                        flat)
+    return pc.binary_join(one, pa.scalar("\n", pa.large_string()))[0].as_py()
+
+
+_TRIPLE = (("subj", pa.string()), ("pred", pa.string()),
+           ("obj", pa.string()), ("obj_is_literal", pa.bool_()))
+
+
+def _parse_lines(lines) -> dict:
+    """``(subj, pred, obj, obj_is_literal)`` columns of canonical lines,
+    in line order, from ONE ``ntriples.parse`` call."""
+    rows = ntriples.parse(_joined(lines))
+    cols = list(zip(*rows)) if rows else [()] * len(_TRIPLE)
+    return {name: pa.array(col, typ) for (name, typ), col in zip(_TRIPLE, cols)}
+
+
 def graphs_at_table(deltas: pa.Table, ts) -> str:
     """Merged canonical N-Triples document at ``ts``."""
-    live = state_at_table(deltas, ts)
-    triples = set()
-    for text in live["delta_text"].to_pylist() if live.num_rows else []:
-        triples.update(ntriples.parse(text))
-    return ntriples.serialize(triples)
+    return union_document(state_at_table(deltas, ts)["delta_text"])
 
 
 def triples_at_table(deltas: pa.Table, ts) -> pa.Table:
     """Distinct (subj, pred, obj, obj_is_literal) live at ``ts``."""
-    live = state_at_table(deltas, ts)
-    triples = set()
-    for text in live["delta_text"].to_pylist() if live.num_rows else []:
-        triples.update(ntriples.parse(text))
-    rows = sorted(triples)
-    return pa.table(
-        {
-            "subj": pa.array([r[0] for r in rows], pa.string()),
-            "pred": pa.array([r[1] for r in rows], pa.string()),
-            "obj": pa.array([r[2] for r in rows], pa.string()),
-            "obj_is_literal": pa.array([r[3] for r in rows], pa.bool_()),
-        }
-    )
+    live = explode_lines(state_at_table(deltas, ts), ())
+    t = pa.table(_parse_lines(pc.unique(live["line"])))
+    return t.take(pc.sort_indices(
+        t, sort_keys=[(name, "ascending") for name, _ in _TRIPLE]))
 
 
 def quads_at_table(deltas: pa.Table, ts) -> pa.Table:
-    """Distinct (graph_id, subj, pred, obj, obj_is_literal) live at
-    ``ts`` — the quad view that scopes ``GRAPH`` clauses. The engine's
-    named graphs are the reference's one-graph-per-source-id model
-    (``src/git.rs:110-120``), so the graph term of a quad is the
-    graph id itself."""
-    live = state_at_table(deltas, ts)
-    gids, ss, ps, os_, lits = [], [], [], [], []
-    if live.num_rows:
-        for gid, text in zip(live["graph_id"].to_pylist(),
-                             live["delta_text"].to_pylist()):
-            for s, p, o, is_lit in ntriples.parse(text):
-                gids.append(gid)
-                ss.append(s)
-                ps.append(p)
-                os_.append(o)
-                lits.append(is_lit)
-    return pa.table(
-        {
-            "graph_id": pa.array(gids, pa.string()),
-            "subj": pa.array(ss, pa.string()),
-            "pred": pa.array(ps, pa.string()),
-            "obj": pa.array(os_, pa.string()),
-            "obj_is_literal": pa.array(lits, pa.bool_()),
-        }
-    )
+    """(graph_id, subj, pred, obj, obj_is_literal) live at ``ts``, one
+    row per line of each live graph — the quad view that scopes ``GRAPH``
+    clauses. The engine's named graphs are the reference's
+    one-graph-per-source-id model (``src/git.rs:110-120``), so the graph
+    term of a quad is the graph id itself."""
+    live = explode_lines(state_at_table(deltas, ts), ["graph_id"])
+    return pa.table({"graph_id": live["graph_id"],
+                     **_parse_lines(live["line"])})
 
 
-def _ts_pandas(ts) -> pd.Timestamp:
-    return pd.Timestamp(_ts_scalar(ts).as_py())
-
-
-def _lines_frame(live: pd.DataFrame) -> pd.DataFrame:
-    """One (graph_id, line) row per canonical N-Triples line of each live
-    graph. Canonical text is sorted + deduped, so LINE-level set algebra
-    equals triple-level set algebra — no parsing needed."""
-    if live.empty:
-        return pd.DataFrame({"graph_id": pd.Series(dtype=object),
-                             "line": pd.Series(dtype=object)})
-    s = live.set_index("graph_id")["delta_text"].str.split("\n").explode()
-    s = s[s.notna() & (s != "")]
-    return pd.DataFrame({"graph_id": s.index.to_numpy(),
-                         "line": s.to_numpy()})
-
-
-_DIFF_EMPTY = {"graph_id": object, "change": object, "line": object}
-
-
-def _diff_live_frames(live1: pd.DataFrame, live2: pd.DataFrame) -> pd.DataFrame:
-    """Added/removed canonical lines between two live-state frames
-    (columns ``graph_id, digest, delta_text``; one row per live graph).
-    Unchanged graphs are skipped up front via the stored content digest —
-    only changed graphs' texts are ever exploded."""
-    from ..shuffle_utils import merge_outer_nul_safe
-
-    # outer merges on NUL-bearing keys raise in pandas (hostile graph
-    # ids; canonical lines carry raw NULs — escape_literal leaves \x00
-    # alone); the nul-safe form is exact either way
-    m = merge_outer_nul_safe(
-        live1[["graph_id", "digest"]], live2[["graph_id", "digest"]],
-        on="graph_id", suffixes=("_1", "_2"),
-    )
-    changed = m.loc[m["digest_1"].ne(m["digest_2"]), "graph_id"]
-    old = _lines_frame(live1[live1["graph_id"].isin(changed)])
-    new = _lines_frame(live2[live2["graph_id"].isin(changed)])
-    j = merge_outer_nul_safe(old, new, on=["graph_id", "line"],
-                             indicator=True)
-    out = pd.DataFrame(
-        {
-            "graph_id": j["graph_id"].to_numpy(),
-            "change": np.where(j["_merge"].to_numpy() == "left_only",
-                               "removed", "added"),
-            "line": j["line"].to_numpy(),
-        }
-    )
-    out = out[j["_merge"].to_numpy() != "both"]
-    return sort_values_nul_safe(out, ["graph_id", "change", "line"],
-                                ignore_index=True)
+def _changed_lines(a: pa.Table, b: pa.Table) -> pa.Table:
+    """(graph_id, line) of ``a``'s live graphs whose content differs in
+    ``b`` — the stored digest skips unchanged graphs unexploded."""
+    changed = a.join(b.select(["graph_id", "digest"]), ["graph_id", "digest"],
+                     join_type="left anti")
+    return explode_lines(changed, ["graph_id"])
 
 
 def diff_table(deltas: pa.Table, ts1, ts2) -> pa.Table:
@@ -227,64 +222,18 @@ def diff_table(deltas: pa.Table, ts1, ts2) -> pa.Table:
     ``src/git.rs:151-190``); here it is recovered from the delta log by
     resolving both as-of states and set-differencing canonical lines.
     Returns ``(graph_id, change ∈ {added, removed}, line)`` sorted."""
-    cols = ["graph_id", "digest", "delta_text"]
-    live1 = state_at_table(deltas, ts1).select(cols).to_pandas()
-    live2 = state_at_table(deltas, ts2).select(cols).to_pandas()
-    out = _diff_live_frames(live1, live2)
-    return pa.table(
-        {
-            "graph_id": pa.array(out["graph_id"].tolist(), pa.string()),
-            "change": pa.array(out["change"].tolist(), pa.string()),
-            "line": pa.array(out["line"].tolist(), pa.string()),
-        }
-    )
-
-
-def diff_between(deltas_ds, ts1, ts2, num_partitions: int = 64):
-    """Distributed ``diff_table``: graphs are hashed into bounded
-    partitions (same key as every other state operation, so the log's
-    partitioning is reused) and each partition resolves BOTH as-of states
-    and emits its graphs' added/removed lines in one vectorized pass —
-    one keyed shuffle total, no driver-side state. Rows with
-    ``warc_ts > ts2`` never enter the shuffle."""
-    t1 = _ts_pandas(ts1)
-
-    def upto2(batch: pa.Table) -> pa.Table:
-        return batch.filter(
-            pc.less_equal(batch["warc_ts"].cast(pa.timestamp("s")),
-                          _ts_scalar(ts2))
-        )
-
-    def add_pid(batch: pa.Table) -> pa.Table:
-        from ..shuffle_utils import add_partition_id
-
-        return add_partition_id(batch, key="graph_id",
-                                num_partitions=num_partitions,
-                                col="state_pid")
-
-    def diff_partition(group: pd.DataFrame) -> pd.DataFrame:
-        keys = ["graph_id", "warc_ts"] + (
-            ["seq"] if "seq" in group.columns else []
-        )
-        g = group.sort_values(keys, kind="stable")
-        live2 = g.drop_duplicates(subset=["graph_id"], keep="last")
-        live2 = live2[live2["op"] != OP_DELETE]
-        g1 = g[g["warc_ts"].dt.floor("s") <= t1]
-        live1 = g1.drop_duplicates(subset=["graph_id"], keep="last")
-        live1 = live1[live1["op"] != OP_DELETE]
-        out = _diff_live_frames(live1, live2)
-        if out.empty:
-            return pd.DataFrame(
-                {c: pd.Series(dtype=t) for c, t in _DIFF_EMPTY.items()}
-            )
-        return out
-
-    return (
-        deltas_ds.map_batches(upto2, batch_format="pyarrow")
-        .map_batches(add_pid, batch_format="pyarrow")
-        .groupby("state_pid")
-        .map_groups(diff_partition, batch_format="pandas")
-    )
+    live1, live2 = state_at_table(deltas, ts1), state_at_table(deltas, ts2)
+    old, new = _changed_lines(live1, live2), _changed_lines(live2, live1)
+    keys = ["graph_id", "line"]
+    out = pa.concat_tables([
+        pa.table({"graph_id": d["graph_id"],
+                  "change": pa.repeat(change, d.num_rows),
+                  "line": d["line"].cast(pa.string())})
+        for x, y, change in ((old, new, "removed"), (new, old, "added"))
+        for d in [x.join(y, keys, join_type="left anti")]
+    ])
+    return out.take(pc.sort_indices(
+        out, sort_keys=[(c, "ascending") for c in out.column_names]))
 
 
 def metadata_table(deltas: pa.Table):
@@ -295,42 +244,41 @@ def metadata_table(deltas: pa.Table):
 
 
 # -------------------------------------------------------------- Dataset path
-def state_at(deltas_ds, ts, num_partitions: int = 64):
-    """Dataset of live graph rows at ``ts`` (distributed as-of).
+def per_partition(deltas_ds, ts, kernel):
+    """The Dataset driver: rows with ``warc_ts <= ts`` (later rows never
+    enter the shuffle), ``graph_id`` hashed into :data:`NUM_PARTITIONS`
+    bounded partitions, and ``kernel`` — a table-path kernel of one delta
+    table — run on each partition's rows."""
+    from ..shuffle_utils import add_partition_id
 
-    Graphs are hashed into a BOUNDED number of partitions and each
-    partition resolves all of its graphs in one vectorized pass (sort +
-    keep-last) — graph cardinality is corpus-scale, so a ``map_groups``
-    per graph_id would pay Ray's per-group overhead once per url."""
+    bound = _ts_scalar(ts)
 
     def upto(batch: pa.Table) -> pa.Table:
-        return batch.filter(
-            pc.less_equal(batch["warc_ts"].cast(pa.timestamp("s")), _ts_scalar(ts))
-        )
-
-    def add_pid(batch: pa.Table) -> pa.Table:
-        from ..shuffle_utils import add_partition_id
-
+        batch = batch.filter(
+            pc.less_equal(batch["warc_ts"].cast(pa.timestamp("s")), bound))
         return add_partition_id(batch, key="graph_id",
-                                num_partitions=num_partitions,
+                                num_partitions=NUM_PARTITIONS,
                                 col="state_pid")
-
-    def latest_per_graph(group: pd.DataFrame) -> pd.DataFrame:
-        # (warc_ts, seq) is a total order per graph — post-shuffle arrival
-        # order is arbitrary, so an explicit tie-break column is required
-        keys = ["graph_id", "warc_ts"] + (
-            ["seq"] if "seq" in group.columns else []
-        )
-        g = group.sort_values(keys, kind="stable")
-        last = g.drop_duplicates(subset=["graph_id"], keep="last")
-        return last[last["op"] != OP_DELETE].drop(columns=["state_pid"])
 
     return (
         deltas_ds.map_batches(upto, batch_format="pyarrow")
-        .map_batches(add_pid, batch_format="pyarrow")
         .groupby("state_pid")
-        .map_groups(latest_per_graph, batch_format="pandas")
+        .map_groups(lambda g: kernel(g.drop_columns(["state_pid"])),
+                    batch_format="pyarrow")
     )
+
+
+def state_at(deltas_ds, ts):
+    """Dataset of live graph rows at ``ts`` (distributed as-of)."""
+    return per_partition(deltas_ds, ts, lambda t: state_at_table(t, ts))
+
+
+def diff_between(deltas_ds, ts1, ts2):
+    """Distributed :func:`diff_table`: each partition resolves BOTH
+    as-of states of its graphs."""
+    hi = max(_ts_scalar(ts1).value, _ts_scalar(ts2).value)
+    return per_partition(deltas_ds, hi,
+                         lambda t: diff_table(t, ts1, ts2))
 
 
 def metadata(deltas_ds):
@@ -339,19 +287,3 @@ def metadata(deltas_ds):
 
     res = deltas_ds.aggregate(Min("warc_ts"), Max("warc_ts"))
     return (res["min(warc_ts)"], res["max(warc_ts)"])
-
-
-def version_times(deltas_ds) -> list:
-    """Sorted distinct version instants — ``list_commit_times``
-    (``src/git.rs:134-148``, sorted TIME|REVERSE → ascending here)."""
-    def distinct(batch: pa.Table) -> pa.Table:
-        return pa.table({"warc_ts": batch["warc_ts"].unique()})
-
-    rows = (
-        deltas_ds.select_columns(["warc_ts"])
-        .map_batches(distinct, batch_format="pyarrow")
-        .groupby("warc_ts")
-        .count()
-        .take_all()
-    )
-    return sorted(r["warc_ts"] for r in rows)

@@ -217,7 +217,7 @@ def test_blame_matches_naive_oracle_randomized(store, ray_session):
     ds = rd.read_parquet(
         sorted(glob.glob(os.path.join(store, "partition=*", "*.parquet")))
     )
-    got_ds = _blame_dict(blame(ds, t + 1, num_partitions=8).to_pandas())
+    got_ds = _blame_dict(blame(ds, t + 1).to_pandas())
     # to_pandas of the distributed path loses no rows; compare as dicts
     assert got_ds == _naive_blame(hist, t + 1)
 

@@ -151,12 +151,6 @@ def test_diff_between_matches_naive_state_difference(ray_session, built):
     assert reconstruct.diff_table(dt, ts2, ts2).num_rows == 0
 
 
-def test_version_times_dataset(ray_session, built, oracle_store):
-    times = reconstruct.version_times(built.delta_dataset())
-    got = sorted(int(pd.Timestamp(t).timestamp()) for t in times)
-    assert got == sorted(set(oracle_store.version_times()))
-
-
 def test_manifests_have_lineage(built):
     assert len(built.manifests) == built.num_partitions
     for m in built.manifests:

@@ -547,7 +547,10 @@ def test_front_door_parity_across_doors(ray_session, tmp_path):
     QueryService, and the server on either backend — gives equal
     answers and equal cache levels on every call: a repeated query, an
     expression-level EXISTS whose match sits in another partition, and a
-    latest-state SERVICE inside FILTER(EXISTS), which no door caches."""
+    latest-state SERVICE inside FILTER(EXISTS), which no door caches.
+    A blank-node store in two partitions serves one merged document
+    through every door (and the router's streamed ``graphs_at_to``),
+    with the labels its SPARQL answers show."""
     from rdf_diff_store_ray.query.bgp import DiffStoreReader
     from rdf_diff_store_ray.query.front import load_deltas
     from rdf_diff_store_ray.query.service import QueryService
@@ -618,3 +621,39 @@ def test_front_door_parity_across_doors(ray_session, tmp_path):
     rows = [len(json.loads(body)["results"]["bindings"])
             for body, _ in runs[0]]
     assert rows == [1, 1, 1, 1, 0]
+
+    # blank nodes: graph A alone in one partition, the chain B in the
+    # other; adding B must not relabel A's blank node in any door
+    bn = init_log(str(tmp_path / "bnodes"), num_partitions=2)
+    ids = [f"https://x/b{i}" for i in range(16)]
+    pids = partition_ids(ids, 2)
+    a_id = ids[0]
+    b_id = next(g for g, p in zip(ids, pids) if p != pids[0])
+    append_graphs(bn, {
+        a_id: '_:a <http://p> "x" .\n',
+        b_id: ('_:b <http://q> _:c .\n_:c <http://r> _:d .\n'
+               '_:d <http://r> "y" .\n'),
+    }, T1)
+    reader = DiffStoreReader(load_deltas(bn))
+    svc = QueryService(bn)
+    try:
+        docs = [reader.graphs_at(T2), svc.graphs_at(T2)]
+        spill = tmp_path / "bnodes.nt"
+        svc.graphs_at_to(T2, str(spill))
+        docs.append(spill.read_bytes().decode("utf-8"))
+        for distributed in (False, True):
+            srv = DiffStoreServer(bn, distributed=distributed).start()
+            try:
+                docs.append(_req(
+                    "GET", f"http://127.0.0.1:{srv.port}/api/graphs/{T2}")[2])
+            finally:
+                srv.shutdown()
+    finally:
+        svc.shutdown()
+    assert docs[1:] == docs[:1] * 4
+    assert reader.graph_at(a_id, T2) in docs[0]
+    labels = {t for ln in docs[0].splitlines() for t in ln.split()
+              if t.startswith("_:")}
+    answer = reader.query_at(T2, "SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
+    assert len(labels) == 4
+    assert labels <= set(answer["s"]) | set(answer["o"])
