@@ -37,6 +37,7 @@ from collections import OrderedDict
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..state import reconstruct
 from ..shuffle_utils import drop_duplicates_nul_safe as _ddsafe
@@ -1897,9 +1898,12 @@ def eval_bgp(triples: pa.Table, query: "str | dict",
              quads: "pa.Table | None" = None,
              service_tables: "dict | None" = None,
              finalize: bool = True) -> pd.DataFrame:
-    """Evaluate a SPARQL-subset query against a triple table
-    (``subj, pred, obj, obj_is_literal``); returns distinct bindings, one
-    column per variable, sorted for determinism. Unbound OPTIONAL
+    """Evaluate a SPARQL-subset query against an Arrow triple table
+    (``subj, pred, obj, obj_is_literal``; ``quads`` adds ``graph_id``
+    for GRAPH and FROM). Every pattern is scanned in Arrow by
+    :func:`eval_one_pattern`; pandas holds only the bindings. Returns
+    distinct bindings, one column per variable, sorted for determinism —
+    or, with ``finalize=False``, the tagged frame. Unbound OPTIONAL
     variables are ``None`` (omitted in the SPARQL-JSON form).
 
     A variable binds an RDF *term*, not a lexical form: bindings are
@@ -1928,11 +1932,17 @@ def eval_bgp(triples: pa.Table, query: "str | dict",
                 "query has a FROM/FROM NAMED clause but no quad table "
                 "was supplied"
             )
-        qdf = quads.to_pandas()
-        df = (_ddsafe(qdf[qdf["graph_id"].isin(fg or [])]
-              .drop(columns=["graph_id"])))
-        named = qdf[qdf["graph_id"].isin(fn or [])]
-        source = lambda pat: eval_one_pattern(df, pat)  # noqa: E731
+        gid = quads["graph_id"]
+
+        def among(names):
+            return quads.filter(pc.is_in(gid, pa.array(names or [],
+                                                       gid.type)))
+
+        # a scan's bindings are distinct, so a triple held by several
+        # FROM graphs matches once
+        default = among(fg)
+        named = among(fn)
+        source = lambda pat: eval_one_pattern(default, pat)  # noqa: E731
         gsource = lambda pat, gt: eval_pattern_in_graph(named, pat, gt)  # noqa: E731
         if not finalize:
             return _tagged_result(
@@ -1940,21 +1950,17 @@ def eval_bgp(triples: pa.Table, query: "str | dict",
         return finish_query(
             eval_group(group, source, gsource, service_eval), group,
             source)
-    df = triples.to_pandas()
-    source = lambda pat: eval_one_pattern(df, pat)  # noqa: E731
-    # lazy quad source: GRAPH clauses may sit anywhere in the group tree
-    # (OPTIONAL/UNION branches included), so the error and the one-time
-    # to_pandas both happen only when a GRAPH pattern is actually reached
-    qcache: list = []
+    source = lambda pat: eval_one_pattern(triples, pat)  # noqa: E731
 
+    # GRAPH clauses may sit anywhere in the group tree (OPTIONAL/UNION
+    # branches included), so a missing quad table errors only when a
+    # GRAPH pattern is actually reached
     def gsource(pat, gt):
         if quads is None:
             raise ValueError(
                 "query has a GRAPH clause but no quad table was supplied"
             )
-        if not qcache:
-            qcache.append(quads.to_pandas())
-        return eval_pattern_in_graph(qcache[0], pat, gt)
+        return eval_pattern_in_graph(quads, pat, gt)
 
     if not finalize:
         return _tagged_result(
@@ -2089,11 +2095,10 @@ def walk_groups(group: dict):
 
 def service_evaluator(endpoints: "dict | None"):
     """``service_eval(iri, sub)`` over resolved SERVICE endpoints: a
-    triple TABLE is evaluated here (converted to pandas once per iri),
-    a str URL is asked over HTTP with the sub-pattern shipped verbatim.
-    An unregistered http(s) IRI dereferences ITSELF as the endpoint, the
+    triple TABLE is scanned here by the Arrow pattern kernel, a str URL
+    is asked over HTTP with the sub-pattern shipped verbatim. An
+    unregistered http(s) IRI dereferences ITSELF as the endpoint, the
     oxigraph behavior (``src/query.rs:102-114``)."""
-    frames: dict = {}
 
     def service_eval(iri, sub):
         ep = (endpoints or {}).get(iri)
@@ -2108,10 +2113,7 @@ def service_evaluator(endpoints: "dict | None"):
                     "HTTP SERVICE needs the raw sub-pattern text "
                     "(query was not parsed by this engine)")
             return http_service_bindings(ep, raw)
-        if iri not in frames:
-            frames[iri] = ep.to_pandas()
-        sdf = frames[iri]
-        return eval_group(sub, lambda pat: eval_one_pattern(sdf, pat),
+        return eval_group(sub, lambda pat: eval_one_pattern(ep, pat),
                           None, service_eval)
 
     return service_eval
@@ -2940,43 +2942,36 @@ def format_pattern(pattern) -> str:
 
 
 # ------------------------------------------------------ property paths -----
-def graph_node_terms(df: pd.DataFrame, endpoint_terms=()) -> pd.Series:
-    """Distinct TAGGED terms of a triple frame (subjects ∪ objects) plus
-    any constant endpoint terms — the zero-length-path universe for
-    ``*``/``?`` (the spec's ALP evaluation starts from a bound endpoint
-    even when it does not occur in the graph)."""
-    parts = [
-        _ddsafe("I" + df["subj"]),
-        _ddsafe(pd.Series(
-            np.where(df["obj_is_literal"], "L" + df["obj"], "I" + df["obj"])
-        )),
-    ]
+def graph_node_terms(table: pa.Table, endpoint_terms=()) -> pd.Series:
+    """Distinct TAGGED terms of a triple table (subjects ∪ objects, in
+    first-appearance order) plus any constant endpoint terms — the
+    zero-length-path universe for ``*``/``?`` (the spec's ALP evaluation
+    starts from a bound endpoint even when it does not occur in the
+    graph)."""
+    subj, obj = _tag(table, "subj"), _tag(table, "obj")
     extras = [
         ("I" if kind == "iri" else "L") + val
         for kind, val in endpoint_terms
         if kind in ("iri", "lit")
     ]
-    if extras:
-        parts.append(pd.Series(extras, dtype=object))
-    return _ddsafe(pd.concat(parts, ignore_index=True))
+    terms = pa.chunked_array(
+        subj.chunks + obj.chunks + [pa.array(extras, subj.type)], subj.type)
+    return pc.unique(terms).to_pandas()
 
 
-def path_edges_from_frame(df: pd.DataFrame, iri) -> pd.DataFrame:
+def path_edges_from_frame(table: pa.Table, iri) -> pd.DataFrame:
     """(start, end) TAGGED pairs for one predicate — or, given
     ``("not", iris)``, for every predicate outside the set (negated
-    property sets) — in a triple frame."""
+    property sets) — in a triple table. Only the matched edges leave
+    Arrow."""
+    pred = table["pred"]
     if isinstance(iri, tuple) and iri[0] == "not":
-        sub = df[~df["pred"].isin(iri[1])]
+        sub = table.filter(pc.invert(
+            pc.is_in(pred, pa.array(list(iri[1]), pred.type))))
     else:
-        sub = df[df["pred"] == iri]
-    return _ddsafe(pd.DataFrame(
-        {
-            "__s": ("I" + sub["subj"]).to_numpy(),
-            "__o": np.where(
-                sub["obj_is_literal"], "L" + sub["obj"], "I" + sub["obj"]
-            ),
-        }
-    ))
+        sub = table.filter(pc.equal(pred, iri))
+    return _first_rows(pa.table({"__s": _tag(sub, "subj"),
+                                 "__o": _tag(sub, "obj")})).to_pandas()
 
 
 def _plus_closure(base: pd.DataFrame) -> pd.DataFrame:
@@ -3075,12 +3070,12 @@ def bindings_from_pairs(pairs: pd.DataFrame, s_term, o_term) -> pd.DataFrame:
     for var, positions in var_positions.items():
         for extra in positions[1:]:
             mask &= cur[positions[0]] == cur[extra]
+    if not var_positions:
+        return pd.DataFrame(index=pd.RangeIndex(min(len(cur), 1)))
     proj = pd.DataFrame(index=cur.index)
     for var, positions in var_positions.items():
         proj[var] = cur[positions[0]]
-    if var_positions:
-        return _ddsafe(proj[mask])
-    return proj.head(1) if len(cur) else proj
+    return _ddsafe(proj[mask], ignore_index=True)
 
 
 def eval_subquery(sub: dict, pattern_bindings,
@@ -3151,8 +3146,8 @@ def eval_subquery(sub: dict, pattern_bindings,
     return res.reset_index(drop=True)
 
 
-def eval_pattern_in_graph(qdf: pd.DataFrame, pattern, gterm) -> pd.DataFrame:
-    """One pattern against a QUAD frame (``graph_id`` + triple columns)
+def eval_pattern_in_graph(quads: pa.Table, pattern, gterm) -> pd.DataFrame:
+    """One pattern against a QUAD table (``graph_id`` + triple columns)
     under a ``GRAPH`` term: a constant IRI restricts to that named graph
     (the reference's graphs are keyed the same way, one per source url);
     a variable binds the graph id as an IRI term alongside the pattern's
@@ -3160,42 +3155,71 @@ def eval_pattern_in_graph(qdf: pd.DataFrame, pattern, gterm) -> pd.DataFrame:
     the GRAPH block in the same graph through the ordinary join algebra."""
     kind, val = gterm
     if kind == "iri":
-        return eval_one_pattern(qdf[qdf["graph_id"] == val], pattern)
+        return eval_one_pattern(
+            quads.filter(pc.equal(quads["graph_id"], val)), pattern)
     if kind != "var":
         raise ValueError("GRAPH term must be a variable or IRI")
     if pattern[1][0] == "path":
         # a path inside GRAPH never crosses graphs, so evaluate it once
-        # per graph present in the quad frame and tag the graph id —
-        # per-graph work is bounded by that graph's own edge count
-        from ..shuffle_utils import groupby_nul_safe
-
+        # per graph present in the quad table and tag the graph id —
+        # per-graph work is bounded by that graph's own edge count.
+        # Graphs run in sorted id order, each keeping its rows' order.
+        order = pc.sort_indices(
+            quads.append_column(_ROW, pa.array(np.arange(quads.num_rows))),
+            sort_keys=[("graph_id", "ascending"), (_ROW, "ascending")])
+        quads = quads.take(order)
+        ids = quads["graph_id"].to_numpy(zero_copy_only=False)
+        _, starts = np.unique(ids, return_index=True)
         parts = []
-        # single-column sort is NUL-safe; pandas OBJECT-key groupby is
-        # not (NUL-distinct graph ids would fold into one graph)
-        for (gid,), sub in groupby_nul_safe(
-            qdf.sort_values("graph_id", kind="stable"), ["graph_id"]
-        ):
-            res = eval_one_pattern(sub, pattern)
+        for a, b in zip(starts, [*starts[1:], len(ids)]):
+            res = eval_one_pattern(quads.slice(a, b - a), pattern)
             if len(res):
-                res = res.copy()
+                tag = "I" + ids[a]
                 if val in res.columns:  # GRAPH ?g { ?g <p>+ ?o }
-                    res = res[res[val] == "I" + gid]
+                    res = res[res[val] == tag]
                 else:
-                    res[val] = "I" + gid
+                    res = res.assign(**{val: tag})
                 parts.append(res)
         if not parts:
-            out = eval_one_pattern(qdf.iloc[0:0], pattern)
+            out = eval_one_pattern(quads.slice(0, 0), pattern)
             out[val] = pd.Series(dtype=object)
             return out
         return _ddsafe(pd.concat(parts, ignore_index=True), ignore_index=True)
-    return eval_one_pattern(qdf, pattern, graph_var=val)
+    return eval_one_pattern(quads, pattern, graph_var=val)
 
 
-def eval_one_pattern(df: pd.DataFrame, pattern,
+_ROW = "#row"  # row-number column of the Arrow kernels; never a variable
+
+
+def _tag(table: pa.Table, pos: str):
+    """The tagged terms of one position of a triple/quad table: ``"I"``
+    + value, or ``"L"`` + value for a literal object."""
+    col = table[pos]
+    iri = pc.binary_join_element_wise("I", col, "")
+    if pos != "obj":
+        return iri
+    return pc.if_else(table["obj_is_literal"],
+                      pc.binary_join_element_wise("L", col, ""), iri)
+
+
+def _first_rows(table: pa.Table) -> pa.Table:
+    """Distinct rows of ``table`` in first-appearance order. Arrow hashes
+    full bytes, so rows that differ only past a NUL stay distinct."""
+    cols = table.column_names
+    t = table.append_column(_ROW, pa.array(np.arange(table.num_rows)))
+    g = t.group_by(cols, use_threads=False).aggregate([(_ROW, "min")])
+    return g.take(pc.sort_indices(g[_ROW + "_min"])).select(cols)
+
+
+def eval_one_pattern(table: pa.Table, pattern,
                      graph_var: str | None = None) -> pd.DataFrame:
-    """One triple pattern against a triple frame → frame of TAGGED
-    bindings, one column per variable (a zero-column frame with 0/1
-    rows for a variable-free pattern).
+    """One triple pattern against an Arrow triple table (``subj, pred,
+    obj, obj_is_literal``; a quad table adds ``graph_id``) → frame of
+    TAGGED bindings: one column per variable in first-occurrence order,
+    distinct rows in the order they first appear in ``table``, a
+    ``RangeIndex`` (a zero-column frame with 0/1 rows for a
+    variable-free pattern). The scan runs in Arrow; only the bindings
+    become pandas.
 
     A tagged binding is a plain string ``"I" + value`` (IRI) or
     ``"L" + value`` (literal; decorated token for typed/lang) — a
@@ -3206,48 +3230,44 @@ def eval_one_pattern(df: pd.DataFrame, pattern,
     if p[0] == "path":
         pairs = eval_path_pairs(
             p[1],
-            lambda iri: path_edges_from_frame(df, iri),
-            lambda: graph_node_terms(df, (s, o)),
+            lambda iri: path_edges_from_frame(table, iri),
+            lambda: graph_node_terms(table, (s, o)),
         )
         return bindings_from_pairs(pairs, s, o)
-    cur = df
+    is_lit = table["obj_is_literal"]
+    mask = None
     var_positions: dict = {}  # var -> [position, ...]
-    for pos, term, is_obj in (("subj", s, False), ("pred", p, False), ("obj", o, True)):
-        kind, val = term
+    for pos, (kind, val) in zip(("subj", "pred", "obj"), pattern):
         if kind == "var":
             var_positions.setdefault(val, []).append(pos)
-        elif kind == "iri":
-            cur = cur[cur[pos] == val]
-            if is_obj:
-                cur = cur[~cur["obj_is_literal"]]
+            continue
+        m = pc.equal(table[pos], val)
+        if kind == "iri":
+            if pos == "obj":
+                m = pc.and_(m, pc.invert(is_lit))
         else:  # literal — only matches the object position
-            cur = cur[(cur[pos] == val) & cur["obj_is_literal"]]
+            m = pc.and_(m, is_lit)
+        mask = m if mask is None else pc.and_(mask, m)
+    cur = table if mask is None else table.filter(mask)
     if graph_var is not None:
         # graph id rides along as a fourth bound position; sharing the
         # variable with a triple position (GRAPH ?g { ?g ?p ?o }) falls
         # out of the repeated-variable equality below
         var_positions.setdefault(graph_var, []).append("graph_id")
-    # tagged term per position, fully vectorized (subj/pred/graph always IRIs)
-    tagged = pd.DataFrame(index=cur.index)
-    needed = {p for ps in var_positions.values() for p in ps}
-    for pos in needed:
-        if pos == "obj":
-            tagged[pos] = np.where(
-                cur["obj_is_literal"], "L" + cur["obj"], "I" + cur["obj"]
-            )
-        else:
-            tagged[pos] = "I" + cur[pos]
+    if not var_positions:  # boolean pattern
+        return pd.DataFrame(index=pd.RangeIndex(min(cur.num_rows, 1)))
+    tagged = {pos: _tag(cur, pos)
+              for ps in var_positions.values() for pos in ps}
+    out = pa.table({var: tagged[ps[0]] for var, ps in var_positions.items()})
     # a variable repeated WITHIN the pattern must bind one term
-    mask = pd.Series(True, index=cur.index)
-    for var, positions in var_positions.items():
-        for extra in positions[1:]:
-            mask &= tagged[positions[0]] == tagged[extra]
-    proj = pd.DataFrame(index=cur.index)
-    for var, positions in var_positions.items():
-        proj[var] = tagged[positions[0]]
-    if var_positions:
-        return _ddsafe(proj[mask])
-    return proj.head(1) if len(cur) else proj  # boolean pattern
+    keep = None
+    for ps in var_positions.values():
+        for extra in ps[1:]:
+            m = pc.equal(tagged[ps[0]], tagged[extra])
+            keep = m if keep is None else pc.and_(keep, m)
+    if keep is not None:
+        out = out.filter(keep)
+    return _first_rows(out).to_pandas()
 
 
 # ------------------------------------------------------------- FILTER ------
@@ -4190,8 +4210,6 @@ class DiffStoreReader(AsOfReads):
 
     def graph_at(self, graph_id: str, ts) -> "str | None":
         """One graph's live canonical text at ``ts`` (None if absent)."""
-        import pyarrow.compute as pc
-
         live = reconstruct.state_at_table(self.deltas, ts_key(ts))
         hit = live.filter(pc.equal(live["graph_id"], graph_id))
         if hit.num_rows == 0:

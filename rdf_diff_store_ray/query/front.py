@@ -46,12 +46,13 @@ from urllib.parse import urlparse
 import pandas as pd
 
 def ts_key(ts) -> int:
-    """The cache key of a requested instant: unix seconds."""
-    import numpy as np
+    """The cache key of a requested instant: unix seconds. Any real
+    number (``bool`` excepted) is unix seconds, floored to the second
+    grain; anything else goes through ``pd.Timestamp``."""
+    from ..state.reconstruct import unix_seconds
 
-    if isinstance(ts, (int, np.integer)):
-        return int(ts)
-    return int(pd.Timestamp(ts).timestamp())
+    secs = unix_seconds(ts)
+    return int(pd.Timestamp(ts).timestamp()) if secs is None else secs
 
 
 def _is_url(v) -> bool:

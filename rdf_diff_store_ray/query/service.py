@@ -36,6 +36,14 @@ and BGP matching are therefore per-partition-local:
   unrestricted ``?s ?p ?o`` still transfers everything, exactly as the
   reference's full-store load does, ``src/query.rs:117-145``);
 - ``metadata``: min/max over per-partition metadata.
+
+Every actor scans its partition's per-instant Arrow triple (or quad)
+table with the reader's own pattern kernel
+(:func:`..query.bgp.eval_one_pattern`); only the tagged bindings become
+pandas, and they are what crosses to the router. A push-down call
+reports its cache level by the front door's rule: ``Query`` on a
+pattern-cache hit, ``Store`` iff the instant was materialized, else
+``Nothing``.
 """
 
 from __future__ import annotations
@@ -69,21 +77,34 @@ class PartitionReaderActor:
     def graph_at(self, graph_id: str, ts):
         return self.reader.graph_at(graph_id, ts)
 
+    def _cached(self, ts, key: tuple, scan):
+        """A push-down result at ``ts``, cached beside the query cache
+        under ``(k,) + key``; ``scan(k)`` computes it on a miss. Reports
+        the front door's cache level: ``Query`` on a hit, ``Store`` iff
+        the instant was already materialized, else ``Nothing``."""
+        reader = self.reader
+        k = ts_key(ts)
+        hit = reader.query_cache.get((k,) + key)
+        if hit is not None:
+            reader.last_cache_level = "Query"
+            return hit
+        reader.last_cache_level = "Store" if reader._entry(k)[1] \
+            else "Nothing"
+        out = scan(k)
+        reader.query_cache.put((k,) + key, out)
+        return out
+
     def pattern_bindings(self, ts, pattern_str: str) -> pd.DataFrame:
         """TAGGED bindings of ONE pattern against this partition's live
         triples — the push-down unit of the distributed multi-pattern
-        path. Cached per (ts, pattern) beside the query cache."""
+        path."""
         from .bgp import eval_one_pattern, parse_query
 
-        k = ts_key(ts)
-        key = (k, pattern_str, "tagged")
-        hit = self.reader.query_cache.get(key)
-        if hit is not None:
-            return hit
-        pat = parse_query(pattern_str)["patterns"][0]
-        out = eval_one_pattern(self.reader._at(k, "store").to_pandas(), pat)
-        self.reader.query_cache.put(key, out)
-        return out
+        def scan(k):
+            pat = parse_query(pattern_str)["patterns"][0]
+            return eval_one_pattern(self.reader._at(k, "store"), pat)
+
+        return self._cached(ts, (pattern_str, "tagged"), scan)
 
     def graph_pattern_bindings(self, ts, pattern_str: str,
                                gterm_str: str) -> pd.DataFrame:
@@ -93,34 +114,24 @@ class PartitionReaderActor:
         partition, so graph-scoped matches never cross partitions."""
         from .bgp import _parse_term, eval_pattern_in_graph, parse_query
 
-        k = ts_key(ts)
-        key = (k, gterm_str, pattern_str, "graph")
-        hit = self.reader.query_cache.get(key)
-        if hit is not None:
-            return hit
-        pat = parse_query(pattern_str)["patterns"][0]
-        out = eval_pattern_in_graph(
-            self.reader._at(k, "quads").to_pandas(), pat,
-            _parse_term(gterm_str)
-        )
-        self.reader.query_cache.put(key, out)
-        return out
+        def scan(k):
+            pat = parse_query(pattern_str)["patterns"][0]
+            return eval_pattern_in_graph(self.reader._at(k, "quads"), pat,
+                                         _parse_term(gterm_str))
+
+        return self._cached(ts, (gterm_str, pattern_str, "graph"), scan)
 
     def node_terms(self, ts) -> pd.DataFrame:
         """Distinct tagged subject/object terms of this partition's live
         triples — the partition's share of the zero-length-path node
-        universe (``*``/``?``). Cached per ts beside the query cache."""
+        universe (``*``/``?``)."""
         from .bgp import graph_node_terms
 
-        k = ts_key(ts)
-        key = (k, "__node_terms__")
-        hit = self.reader.query_cache.get(key)
-        if hit is None:
-            hit = graph_node_terms(
-                self.reader._at(k, "store").to_pandas()
-            ).to_frame(name="__node")
-            self.reader.query_cache.put(key, hit)
-        return hit
+        def scan(k):
+            return graph_node_terms(
+                self.reader._at(k, "store")).to_frame(name="__node")
+
+        return self._cached(ts, ("__node_terms__",), scan)
 
     def graphs_at(self, ts) -> str:
         return self.reader.graphs_at(ts)

@@ -43,6 +43,9 @@ Two drivers run the kernels:
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -57,12 +60,20 @@ from ..schemas import OP_DELETE
 NUM_PARTITIONS = 64
 
 
+def unix_seconds(ts) -> "int | None":
+    """``ts`` as whole unix seconds when it is a real number (``bool``
+    excepted), floored to the second grain; None for anything else."""
+    if isinstance(ts, bool) or not isinstance(ts, numbers.Real):
+        return None
+    return math.floor(ts)
+
+
 def _ts_scalar(ts) -> pa.Scalar:
-    """Accept unix seconds (int) or a datetime; compare at second grain —
-    the reference's version-axis resolution (``src/git.rs:82,157``)."""
-    if isinstance(ts, (int, np.integer)):
-        return pa.scalar(int(ts) * 10**6, pa.timestamp("us")).cast(pa.timestamp("s"))
-    return pa.scalar(ts, pa.timestamp("s"))
+    """Accept unix seconds (any real number) or a datetime; compare at
+    second grain — the reference's version-axis resolution
+    (``src/git.rs:82,157``)."""
+    secs = unix_seconds(ts)
+    return pa.scalar(ts if secs is None else secs, pa.timestamp("s"))
 
 
 def prune_log_files(files, ts) -> list:

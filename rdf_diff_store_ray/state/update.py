@@ -44,12 +44,13 @@ import glob
 import os
 import re
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 from .. import ntriples
 from . import reconstruct
 from .append import append_graphs, delete_graphs
-from ..shuffle_utils import drop_duplicates_nul_safe as _ddsafe
 
 _DATA_RE = re.compile(r"(INSERT|DELETE)\s+DATA\s*\{", re.IGNORECASE)
 _WHERE_RE = re.compile(r"DELETE\s+WHERE\s*\{", re.IGNORECASE)
@@ -370,21 +371,22 @@ def _instantiate(pattern, row: dict):
 
 def _solutions(group: dict, deltas, ts):
     """Evaluate a WHERE group against the quad view at ``ts`` → (tagged
-    solution rows, quad frame)."""
+    solution rows, Arrow quad table)."""
     from ..query.bgp import (
         eval_group,
         eval_one_pattern,
         eval_pattern_in_graph,
     )
 
-    qdf = reconstruct.quads_at_table(deltas, ts).to_pandas()
-    merged = _ddsafe(qdf.drop(columns=["graph_id"]))
-    source = lambda pat: eval_one_pattern(merged, pat)  # noqa: E731
-    gsource = lambda pat, gt: eval_pattern_in_graph(qdf, pat, gt)  # noqa: E731
-    return eval_group(group, source, gsource).to_dict("records"), qdf
+    quads = reconstruct.quads_at_table(deltas, ts)
+    # the default graph is the merged view; a scan's bindings are
+    # distinct, so a triple held by several graphs matches once
+    source = lambda pat: eval_one_pattern(quads, pat)  # noqa: E731
+    gsource = lambda pat, gt: eval_pattern_in_graph(quads, pat, gt)  # noqa: E731
+    return eval_group(group, source, gsource).to_dict("records"), quads
 
 
-def _template_quads(tmpl: dict, rows: list, qdf) -> list:
+def _template_quads(tmpl: dict, rows: list, quads: pa.Table) -> list:
     """Instantiate a quad template with the solution rows →
     [(graph_id, subj, pred, obj, is_lit)]. Bare (default-graph) patterns
     resolve to EVERY source graph holding the triple (the merged view is
@@ -397,13 +399,12 @@ def _template_quads(tmpl: dict, rows: list, qdf) -> list:
             if t is None or t in seen:
                 continue
             seen.add(t)
-            hit = qdf[
-                (qdf["subj"] == t[0]) & (qdf["pred"] == t[1])
-                & (qdf["obj"] == t[2]) & (qdf["obj_is_literal"] == t[3])
-            ]
-            # drop_duplicates, not .unique(): pd.unique collapses
-            # NUL-twin graph ids (the truncating-hashtable family)
-            for gid in hit["graph_id"].drop_duplicates():
+            mask = pc.equal(quads["obj_is_literal"], t[3])
+            for col, v in zip(("subj", "pred", "obj"), t):
+                mask = pc.and_(mask, pc.equal(quads[col], v))
+            # Arrow's unique keeps NUL-twin graph ids apart, in
+            # first-appearance order
+            for gid in pc.unique(quads.filter(mask)["graph_id"]).to_pylist():
                 out.append((gid,) + t)
     for gterm, sub in tmpl.get("graphs") or []:
         for pat in sub["patterns"]:
@@ -531,14 +532,14 @@ def sparql_update(store: str, update: str, ts: int) -> dict:
                 "load"):
         return _graph_management(store, u, deltas, ts)
     if form == "delete_where":
-        rows, qdf = _solutions(u["group"], deltas, ts)
-        del_quads = _template_quads(u["group"], rows, qdf)
+        rows, quads = _solutions(u["group"], deltas, ts)
+        del_quads = _template_quads(u["group"], rows, quads)
         ins_quads = []
     elif form == "modify":
-        rows, qdf = _solutions(u["group"], deltas, ts)
-        del_quads = (_template_quads(u["delete"], rows, qdf)
+        rows, quads = _solutions(u["group"], deltas, ts)
+        del_quads = (_template_quads(u["delete"], rows, quads)
                      if u["delete"] else [])
-        ins_quads = (_template_quads(u["insert"], rows, qdf)
+        ins_quads = (_template_quads(u["insert"], rows, quads)
                      if u["insert"] else [])
     elif form == "insert_data":
         del_quads, ins_quads = [], u["quads"]

@@ -61,6 +61,43 @@ def test_query_caches_warm(service, single_reader):
     assert all(lv == "Query" for lv in service.cache_levels())
 
 
+def test_push_down_reports_cache_levels(service, single_reader):
+    """The actors' push-down calls report the front door's cache level:
+    the second pattern of a cold 2-pattern query finds its instant
+    materialized (Store); a repeat that reaches the actors hits their
+    pattern cache (Query)."""
+    from rdf_diff_store_ray.corpus import P_ACQUIRED, P_HQ
+    from rdf_diff_store_ray.query.bgp import parse_query
+
+    ts = _end_ts(single_reader) + 4321  # an instant no other test reads
+    q = f"?a <{P_ACQUIRED}> ?b . ?b <{P_HQ}> ?c"
+    service.query_at(ts, q)
+    assert service.cache_levels() == ["Store"] * len(service.actors)
+    # the router LRU would answer a plain repeat without the actors
+    service._evaluate(parse_query(q), q, ts, None, True)
+    assert service.cache_levels() == ["Query"] * len(service.actors)
+
+
+def test_float_unix_seconds_read_the_same_instant(service, single_reader):
+    """A float timestamp is unix seconds (floored), like an int — not
+    nanoseconds, which read the empty pre-history state."""
+    from rdf_diff_store_ray.corpus import P_ACQUIRED
+
+    ts = _end_ts(single_reader)
+    q = f"?s <{P_ACQUIRED}> ?o"
+    want = single_reader.query_at(ts, q)
+    assert len(want)
+    graph_id = single_reader.query_at(
+        ts, "SELECT ?g WHERE { GRAPH ?g { ?s ?p ?o } } LIMIT 1")["g"][0]
+    text = single_reader.graph_at(graph_id, ts)
+    assert text
+    for t in (float(ts), ts + 0.5):
+        for backend in (single_reader, service):
+            pd.testing.assert_frame_equal(backend.query_at(t, q), want)
+            assert backend.graphs_at(t) == single_reader.graphs_at(ts)
+            assert backend.graph_at(graph_id, t) == text
+
+
 def test_point_lookup_partition_pruned(service, single_reader, built):
     from rdf_diff_store_ray.state.reconstruct import state_at_table
 
