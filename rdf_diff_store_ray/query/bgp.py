@@ -3,12 +3,14 @@
 The reference loads all live graphs at ``ts`` into an in-memory oxigraph
 store and runs SPARQL (``/root/reference/src/query.rs:117-145``). This
 engine holds the reconstructed state as an Arrow triple table and evaluates
-BGPs — conjunctions of triple patterns with shared variables — via hash
-joins (pandas merges) on the variable columns, plus ``FILTER``
+BGPs — conjunctions of triple patterns with shared variables — via Arrow
+hash joins on the variable columns, plus ``FILTER``
 (=, !=, numeric and lexical <, <=, >, >=), ``OPTIONAL`` (left-outer
 merge), typed literals (``"5"^^<dt>``) and language tags (``"x"@en``).
-Results are SPARQL-JSON-shaped bindings; unbound OPTIONAL variables are
-omitted, as SPARQL does.
+Binding sets are Arrow tables from the scan through the joins, GROUP BY
+and finalization; the clauses not ported yet run as one pandas block
+(:func:`_frame_ops`). Results are SPARQL-JSON-shaped bindings; unbound
+OPTIONAL variables are omitted, as SPARQL does.
 
 Query syntax::
 
@@ -40,7 +42,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state import reconstruct
-from ..shuffle_utils import drop_duplicates_nul_safe as _ddsafe
 from .front import AsOfReads, ts_key
 
 
@@ -1900,8 +1901,9 @@ def eval_bgp(triples: pa.Table, query: "str | dict",
              finalize: bool = True) -> pd.DataFrame:
     """Evaluate a SPARQL-subset query against an Arrow triple table
     (``subj, pred, obj, obj_is_literal``; ``quads`` adds ``graph_id``
-    for GRAPH and FROM). Every pattern is scanned in Arrow by
-    :func:`eval_one_pattern`; pandas holds only the bindings. Returns
+    for GRAPH and FROM). Binding sets are Arrow tables from the pattern
+    scan (:func:`eval_one_pattern`) through the joins, GROUP BY and
+    finalization; the one ``to_pandas()`` is of the final answer. Returns
     distinct bindings, one column per variable, sorted for determinism —
     or, with ``finalize=False``, the tagged frame. Unbound OPTIONAL
     variables are ``None`` (omitted in the SPARQL-JSON form).
@@ -1969,14 +1971,12 @@ def eval_bgp(triples: pa.Table, query: "str | dict",
                         group, source)
 
 
-def _tagged_result(result: pd.DataFrame, group: dict) -> pd.DataFrame:
+def _tagged_result(result: pa.Table, group: dict) -> pd.DataFrame:
     """Tagged bindings of a PLAIN SELECT group, wire-ready: hidden
-    variables dropped, NUL-safe distinct, deterministic sort. Forms that
+    variables dropped, distinct, sorted by full bytes. Forms that
     need the finalization machinery (aggregates, projection
     expressions, modifiers, ASK/CONSTRUCT/DESCRIBE) raise — the
     federation client only ever ships ``SELECT * WHERE { ... }``."""
-    from ..shuffle_utils import drop_duplicates_nul_safe, sort_values_nul_safe
-
     if (group.get("aggregates") or group.get("group_by")
             or group.get("select_exprs") or group.get("ask")
             or group.get("construct") is not None
@@ -1985,14 +1985,12 @@ def _tagged_result(result: pd.DataFrame, group: dict) -> pd.DataFrame:
             or group.get("offset")):
         raise ValueError(
             "tagged evaluation supports plain SELECT groups only")
-    cols = [c for c in result.columns if not c.startswith("__")]
+    cols = [c for c in result.column_names if not c.startswith("__")]
     if group.get("select") is not None:
         cols = [c for c in group["select"] if c in cols] or cols
-    out = result[cols]
-    if len(cols):
-        out = drop_duplicates_nul_safe(out, ignore_index=True)
-        out = sort_values_nul_safe(out, cols, ignore_index=True)
-    return out.reset_index(drop=True) if not len(cols) else out
+    if not cols:
+        return _frame(_unit(result.num_rows))
+    return _frame(_distinct_sorted(result.select(cols)))
 
 
 _WIRE_CTYPE = "application/x-kg-tagged-tsv"
@@ -2112,28 +2110,31 @@ def service_evaluator(endpoints: "dict | None"):
                 raise ValueError(
                     "HTTP SERVICE needs the raw sub-pattern text "
                     "(query was not parsed by this engine)")
-            return http_service_bindings(ep, raw)
+            return _table(http_service_bindings(ep, raw))
         return eval_group(sub, lambda pat: eval_one_pattern(ep, pat),
                           None, service_eval)
 
     return service_eval
 
 
-def finish_query(result: pd.DataFrame, group: dict,
+def finish_query(result: pa.Table, group: dict,
                  pattern_bindings=None) -> pd.DataFrame:
     """Tagged group bindings → the query form's final frame: ASK boolean,
     CONSTRUCT / DESCRIBE triple frame, or SELECT/bare bindings (shared by
     the local evaluator and the distributed router). DESCRIBE needs the
     caller's ``pattern_bindings`` source to fetch each described
-    resource's triples (local frame scan or distributed push-down)."""
+    resource's triples (local frame scan or distributed push-down).
+    GROUP BY and finalization run in Arrow; HAVING and projection
+    expressions are the pandas operator block."""
     if group.get("ask"):
-        return pd.DataFrame({"ask": [bool(len(result))]})
+        return pd.DataFrame({"ask": [bool(result.num_rows)]})
     if group.get("construct") is not None:
-        return construct_triples(result, group["construct"])
+        return construct_triples(_frame(result), group["construct"])
     if group.get("describe") is not None:
         if pattern_bindings is None:
             raise ValueError("DESCRIBE needs a pattern_bindings source")
-        return describe_triples(result, group["describe"], pattern_bindings)
+        return describe_triples(_frame(result), group["describe"],
+                                pattern_bindings)
     # projection / aggregate / ORDER BY expressions may carry EXISTS —
     # keep a group-evaluation context alive while they materialize
     if pattern_bindings is not None:
@@ -2141,19 +2142,16 @@ def finish_query(result: pd.DataFrame, group: dict,
             lambda g: eval_group(g, pattern_bindings))
     try:
         if group.get("aggregates") or group.get("group_by"):
-            result = _materialize_agg_exprs(result, group)
-            result = aggregate_bindings(result, group)
-            for flt in group.get("having") or []:
-                result = result[[_having_true(row, flt)
-                                 for row in result.to_dict("records")]]
-        for name, o in group.get("select_exprs") or []:
-            if name in result.columns:
-                raise ValueError(
-                    f"projection alias ?{name} is already bound")
-            s = _operand_tagged(o, result)
-            result = result.assign(
-                **{name: s.astype(object).where(s.notna(), None)}
-            )
+            result = aggregate_bindings(
+                _assign_exprs(result, group.get("agg_exprs")), group)
+            if group.get("having"):
+                df = _frame(result)
+                for flt in group["having"]:
+                    df = df[[_having_true(row, flt)
+                             for row in df.to_dict("records")]]
+                result = _table(df)
+        result = _assign_exprs(result, group.get("select_exprs"),
+                               projection=True)
         return finalize_bindings(result, group)
     finally:
         if pattern_bindings is not None:
@@ -2236,119 +2234,135 @@ def _cmp_scalar(a, b, op: str) -> bool:
     return a >= b
 
 
-def _materialize_agg_exprs(result: pd.DataFrame, group: dict
-                           ) -> pd.DataFrame:
-    """Hidden ``__aggN`` columns for aggregates over expressions
-    (``SUM(?a * ?b)``), evaluated on the pre-aggregation binding frame;
-    expression errors leave the row's value unbound, which the
-    aggregates then skip per SPARQL."""
-    for colname, node in group.get("agg_exprs") or []:
-        s = _operand_tagged(node, result)
-        result = result.assign(
-            **{colname: s.astype(object).where(s.notna(), None)}
-        )
-    return result
+def _assign_exprs(result: pa.Table, exprs, projection: bool = False
+                  ) -> pa.Table:
+    """Columns ``name = expression`` appended by the pandas expression
+    machinery (one block: in through :func:`_frame`, out through
+    :func:`_table`): hidden ``__aggN`` inputs of aggregates over
+    expressions (``SUM(?a * ?b)``), computed GROUP BY keys, projection
+    expressions. An expression error leaves the row's value unbound,
+    which aggregates then skip per SPARQL."""
+    if not exprs:
+        return result
+    df = _frame(result)
+    for name, node in exprs:
+        if projection and name in df.columns:
+            raise ValueError(f"projection alias ?{name} is already bound")
+        s = _operand_tagged(node, df)
+        df = df.assign(**{name: s.astype(object).where(s.notna(), None)})
+    return _table(df)
 
 
-def aggregate_bindings(result: pd.DataFrame, group: dict) -> pd.DataFrame:
-    """GROUP BY + aggregates over tagged bindings → one row per group.
-    COUNT counts bound terms (``*`` counts rows, DISTINCT dedups);
-    SUM/AVG/MIN/MAX apply to the SPARQL-numeric values of the variable
-    (non-numeric terms are ignored, SPARQL's error-skipping). Aggregate
+def _group_ids(t: pa.Table, by: list) -> "tuple[np.ndarray, pa.Table]":
+    """(group number of each row, the groups' key rows): groups numbered
+    in first-appearance order, unbound keys a group of their own. Arrow
+    hashes full bytes, so NUL-twin keys stay apart."""
+    n = t.num_rows
+    if not by:
+        return np.zeros(n, np.int64), _unit(1)
+    rows = _ROW + "_list"
+    g = (t.select(by).append_column(_ROW, _row_ids(n))
+         .group_by(by, use_threads=False).aggregate([(_ROW, "list")]))
+    g = g.take(pc.sort_indices(pc.list_element(g[rows], 0)))
+    lists = g[rows].combine_chunks()
+    gid = np.empty(n, np.int64)
+    gid[pc.list_flatten(lists).to_numpy()] = \
+        pc.list_parent_indices(lists).to_numpy()
+    return gid, g.select(by)
+
+
+def _term_parts(col) -> "tuple[np.ndarray, np.ndarray]":
+    """(lexical form, SPARQL-numeric value or NaN) of each term of a
+    binding column, by :func:`_series_parts` over its distinct values."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = pc.dictionary_encode(col)
+    lex, num = _series_parts(enc.dictionary.to_pandas())[:2]
+    idx = enc.indices.fill_null(0).to_numpy()
+    valid = enc.indices.is_valid().to_numpy(zero_copy_only=False)
+    lex = lex.to_numpy(object, na_value=None)
+    num = num.to_numpy("float64", na_value=np.nan)
+    if not len(lex):
+        return np.full(len(col), None, object), np.full(len(col), np.nan)
+    return (np.where(valid, lex[idx], None),
+            np.where(valid, num[idx], np.nan))
+
+
+def _aggregate(func: str, var, distinct: bool, sep, t: pa.Table,
+               gid: np.ndarray, ngroups: int) -> pa.Array:
+    """One aggregate over every group (see :func:`aggregate_bindings`)."""
+    if func == "COUNT" and var is None:
+        return pa.array(np.bincount(gid, minlength=ngroups))
+    col = t[var] if var in t.column_names else pa.nulls(t.num_rows,
+                                                          pa.string())
+    valid = col.is_valid().to_numpy(zero_copy_only=False)
+    vals, g = col.filter(valid), gid[valid]
+    if distinct and func in ("COUNT", "GROUP_CONCAT"):
+        keep = _first_ids(pa.table({"#g": g, "v": vals}))
+        vals, g = vals.take(keep), g[keep]
+    if func == "COUNT":
+        return pa.array(np.bincount(g, minlength=ngroups))
+    if func == "SAMPLE":
+        items = vals.to_pylist()
+    else:
+        lex, num = _term_parts(vals)
+        items = (lex if func == "GROUP_CONCAT" else num).tolist()
+    lists: list = [[] for _ in range(ngroups)]
+    for k, v in zip(g.tolist(), items):
+        if v == v:  # NaN: not a numeric term
+            lists[k].append(v)
+    if func == "SAMPLE":
+        # SPARQL leaves the pick free; the minimum tagged term keeps
+        # results deterministic and replayable
+        return pa.array([min(x) if x else None for x in lists], col.type)
+    if func == "GROUP_CONCAT":
+        # element order is implementation-defined in SPARQL — sorted
+        # lexical order keeps it deterministic here; empty = ""
+        return pa.array(["L" + sep.join(sorted(v or "" for v in x))
+                         for x in lists], pa.string())
+    reduce = {"SUM": np.sum, "AVG": np.mean, "MIN": np.min,
+              "MAX": np.max}[func]
+    return pa.array([float(reduce(list(dict.fromkeys(x)) if distinct else x))
+                     if x else None for x in lists], pa.float64())
+
+
+def aggregate_bindings(result: pa.Table, group: dict) -> pa.Table:
+    """GROUP BY + aggregates over tagged bindings → one row per group,
+    groups in first-appearance order. COUNT counts bound terms (``*``
+    counts rows, DISTINCT dedups); SUM/AVG/MIN/MAX apply to the
+    SPARQL-numeric values of the variable (non-numeric terms are
+    ignored, SPARQL's error-skipping); SAMPLE picks the minimum tagged
+    term; GROUP_CONCAT joins the sorted lexical forms. Aggregate
     columns are NATIVE numbers (finalize passes numbers through), so
     downstream sorting is numeric, not lexical."""
-    by_spec = group.get("group_by") or []
     by = []
-    for i, k in enumerate(by_spec):
+    for i, k in enumerate(group.get("group_by") or []):
         if isinstance(k, str):
-            if k not in result.columns:
-                result = result.assign(**{k: None})
+            if k not in result.column_names:
+                result = result.append_column(
+                    k, pa.nulls(result.num_rows, pa.string()))
             by.append(k)
             continue
         # computed GroupCondition: (expr [AS ?alias]) / bare call —
-        # evaluate on the tagged pre-aggregation frame; aliased keys
+        # evaluate on the tagged pre-aggregation bindings; aliased keys
         # are projectable, anonymous ones group then drop
         _tag, node, alias = k
         col = alias or f"__grp_{i}"
-        if col in result.columns:
+        if col in result.column_names:
             raise ValueError(f"GROUP BY alias ?{col} is already bound")
-        s = _operand_tagged(node, result)
-        result = result.assign(
-            **{col: s.astype(object).where(s.notna(), None)}
-        )
+        result = _assign_exprs(result, [(col, node)])
         by.append(col)
     aggs = group["aggregates"] or []
-
-    def one_group(sub: pd.DataFrame) -> dict:
-        out = {}
-        for func, var, distinct, alias, sep in aggs:
-            if func == "SAMPLE":
-                # SPARQL leaves the pick free; we pick the minimum tagged
-                # term so results are deterministic and replayable
-                col = sub[var].dropna() if var in sub.columns else \
-                    pd.Series(dtype=object)
-                out[alias] = col.min() if len(col) else None
-                continue
-            if func == "GROUP_CONCAT":
-                col = sub[var].dropna() if var in sub.columns else \
-                    pd.Series(dtype=object)
-                if distinct:
-                    col = _ddsafe(col)
-                if not len(col):
-                    out[alias] = "L"  # empty simple literal per spec
-                    continue
-                lex = _series_parts(col)[0].fillna("")
-                # element order is implementation-defined in SPARQL —
-                # sorted lexical order keeps it deterministic here
-                out[alias] = "L" + sep.join(sorted(lex.tolist()))
-                continue
-            if func == "COUNT":
-                if var is None:
-                    out[alias] = int(len(sub))
-                else:
-                    col = sub[var] if var in sub.columns else pd.Series(
-                        dtype=object
-                    )
-                    bound = col.dropna()
-                    # NOT nunique(): Series.nunique rides the NUL-
-                    # truncating hashtable (NUL-twin terms collapse at
-                    # every size, measured); Series.drop_duplicates is
-                    # the safe path (CLAUDE.md pitfall census)
-                    out[alias] = int(
-                        len(_ddsafe(bound)) if distinct else len(bound)
-                    )
-                continue
-            col = sub[var] if var in sub.columns else pd.Series(dtype=object)
-            nums = _series_parts(col)[1].dropna() if len(col) else col
-            if distinct and len(nums):
-                nums = _ddsafe(nums)
-            if not len(nums):
-                out[alias] = None
-            elif func == "SUM":
-                out[alias] = float(nums.sum())
-            elif func == "AVG":
-                out[alias] = float(nums.mean())
-            elif func == "MIN":
-                out[alias] = float(nums.min())
-            else:
-                out[alias] = float(nums.max())
-        return out
-
-    if not by:
-        return pd.DataFrame([one_group(result)])
-    from ..shuffle_utils import groupby_nul_safe
-
-    rows = []
-    for key, sub in groupby_nul_safe(result, by):
-        row = {v: (None if pd.isna(k) else k) for v, k in zip(by, key)}
-        row.update(one_group(sub))
-        rows.append(row)
-    if not rows:
-        return pd.DataFrame(columns=by + [a[3] for a in aggs])
+    gid, out = _group_ids(result, by)
+    if not out.num_rows:
+        return _empty(by + [a[3] for a in aggs])
+    for func, var, distinct, alias, sep in aggs:
+        out = out.append_column(alias, _aggregate(
+            func, var, distinct, sep, result, gid, out.num_rows))
     # anonymous (hidden __grp_) key columns stay through finalize — they
     # keep distinct groups with equal aggregate values from collapsing
     # in the bindings dedup — and drop in apply_result_modifiers
-    return pd.DataFrame(rows)
+    return out
 
 
 def construct_triples(result: pd.DataFrame, template) -> pd.DataFrame:
@@ -2370,9 +2384,7 @@ def construct_triples(result: pd.DataFrame, template) -> pd.DataFrame:
                 raise ValueError(
                     "blank nodes are not valid in predicate position"
                 )
-        result = result.sort_values(
-            list(result.columns), ignore_index=True, na_position="last"
-        )
+        result = _sort_frame(result, list(result.columns))
     frames = []
     for s, p, o in template:
         n = len(result)
@@ -2416,8 +2428,8 @@ def construct_triples(result: pd.DataFrame, template) -> pd.DataFrame:
     out = pd.concat(frames, ignore_index=True)
     for c in ("subj", "pred", "obj"):
         out[c] = out[c].astype(object)
-    out = _ddsafe(out[["subj", "pred", "obj", "obj_is_literal"]], ignore_index=True)
-    return out.sort_values(list(out.columns), ignore_index=True)
+    return _distinct_sorted_frame(
+        out[["subj", "pred", "obj", "obj_is_literal"]])
 
 
 def describe_triples(result: pd.DataFrame, describe,
@@ -2449,9 +2461,9 @@ def describe_triples(result: pd.DataFrame, describe,
             if r in described:
                 continue
             described.add(r)
-            b = pattern_bindings(
+            b = _frame(pattern_bindings(
                 (("iri", r), ("var", "_dp"), ("var", "_do"))
-            )
+            ))
             if not len(b):
                 continue
             dp = b["_dp"].astype("string")
@@ -2480,8 +2492,7 @@ def describe_triples(result: pd.DataFrame, describe,
         return pd.DataFrame(
             columns=["subj", "pred", "obj", "obj_is_literal"]
         ).astype({"obj_is_literal": bool})
-    out = _ddsafe(pd.concat(frames, ignore_index=True), ignore_index=True)
-    return out.sort_values(list(out.columns), ignore_index=True)
+    return _distinct_sorted_frame(pd.concat(frames, ignore_index=True))
 
 
 def _exists_stack() -> list:
@@ -2495,7 +2506,7 @@ def _exists_stack() -> list:
 
 
 def eval_group(group: dict, pattern_bindings,
-               graph_bindings=None, service_eval=None) -> pd.DataFrame:
+               graph_bindings=None, service_eval=None) -> pa.Table:
     """Entry wrapper: pushes this evaluation context so ``EXISTS {..}``
     appearing INSIDE expressions (boolean combinations, IF conditions)
     can evaluate its group against the same bindings source — the
@@ -2512,26 +2523,48 @@ def eval_group(group: dict, pattern_bindings,
         _exists_stack().pop()
 
 
+# group clauses evaluated by the pandas operator block
+_FRAME_OPS = ("values", "subqueries", "services", "graphs", "unions",
+              "optionals", "binds", "minus", "exists", "filters")
+
+
 def _eval_group_inner(group: dict, pattern_bindings,
-                      graph_bindings=None, service_eval=None) -> pd.DataFrame:
+                      graph_bindings=None, service_eval=None) -> pa.Table:
     """Evaluate a parsed group given ``pattern_bindings(pattern) →
-    tagged df``. The bindings source is what varies between the local
-    evaluator (one triple table) and the distributed service (union of
-    per-partition pattern evaluations) — the join/OPTIONAL/FILTER
-    algebra is identical. ``graph_bindings(pattern, gterm)`` is the
-    graph-scoped source for ``GRAPH`` clauses (quad-aware; binds the
-    graph variable when ``gterm`` is a var)."""
+    tagged Arrow binding set``. The bindings source is what varies
+    between the local evaluator (one triple table) and the distributed
+    service (union of per-partition pattern evaluations) — the
+    join/OPTIONAL/FILTER algebra is identical. ``graph_bindings(pattern,
+    gterm)`` is the graph-scoped source for ``GRAPH`` clauses
+    (quad-aware; binds the graph variable when ``gterm`` is a var).
+
+    The conjunction runs in Arrow. The clauses not ported yet (VALUES,
+    subqueries, SERVICE, GRAPH, UNION, OPTIONAL, BIND, MINUS, EXISTS,
+    FILTER) run as one pandas block, entered through :func:`_frame` and
+    left through :func:`_table`, so only a group using one pays for the
+    conversion."""
     result = _conjoin(group["patterns"], pattern_bindings)
+    if not any(group.get(op) for op in _FRAME_OPS):
+        return result
+    return _table(_frame_ops(_frame(result), group, pattern_bindings,
+                             graph_bindings, service_eval))
+
+
+def _frame_ops(result: pd.DataFrame, group: dict, pattern_bindings,
+               graph_bindings, service_eval) -> pd.DataFrame:
+    """The pandas operator block of :func:`_eval_group_inner`."""
+    def sub_eval(g, src=pattern_bindings, gsrc=graph_bindings):
+        return _frame(eval_group(g, src, gsrc, service_eval))
+
     for varnames, rows in group.get("values") or []:
-        vdf = pd.DataFrame(rows, columns=varnames, dtype=object)
-        vdf = _ddsafe(vdf, ignore_index=True)
+        vdf = _distinct(pd.DataFrame(rows, columns=varnames, dtype=object))
         # inline data is just another binding set; UNDEF rows route
         # through the unbound-compatible join automatically
-        result = _ddsafe(_merge_bindings(result, vdf), ignore_index=True)
+        result = _distinct(_merge_bindings(result, vdf))
     for sub in group.get("subqueries") or []:
         sres = eval_subquery(sub, pattern_bindings, graph_bindings,
                              service_eval)
-        result = _ddsafe(_merge_bindings(result, sres), ignore_index=True)
+        result = _distinct(_merge_bindings(result, sres))
     for silent, iri, sub in group.get("services") or []:
         # federation: the sub-group evaluates against ANOTHER store's
         # registered endpoint; its solutions join like any nested group.
@@ -2545,24 +2578,21 @@ def _eval_group_inner(group: dict, pattern_bindings,
                 "are registered for this reader"
             )
         try:
-            sres = service_eval(iri, sub)
+            sres = _frame(service_eval(iri, sub))
         except Exception:
             if not silent:
                 raise
             continue
-        result = _ddsafe(_merge_bindings(result, sres), ignore_index=True)
+        result = _distinct(_merge_bindings(result, sres))
     for gterm, sub in group.get("graphs") or []:
         if graph_bindings is None:
             raise ValueError(
                 "this pattern source does not support GRAPH clauses"
             )
         src = lambda pat, gt=gterm: graph_bindings(pat, gt)  # noqa: E731
-        gres = eval_group(sub, src, None, service_eval)
-        result = _ddsafe(_merge_bindings(result, gres), ignore_index=True)
+        result = _distinct(_merge_bindings(result, sub_eval(sub, src, None)))
     for branches in group["unions"]:
-        parts = [eval_group(b, pattern_bindings, graph_bindings,
-                            service_eval)
-                 for b in branches]
+        parts = [sub_eval(b) for b in branches]
         cols: list = []
         for p in parts:
             cols.extend(c for c in p.columns if c not in cols)
@@ -2571,15 +2601,11 @@ def _eval_group_inner(group: dict, pattern_bindings,
         )
         # variables bound in only some branches are unbound (NaN → None
         # at finalize) elsewhere — SPARQL's UNION shape
-        udf = _ddsafe(udf, ignore_index=True)
-        result = _ddsafe(_merge_bindings(result, udf), ignore_index=True)
+        result = _distinct(_merge_bindings(result, _distinct(udf)))
     for opt in group["optionals"]:
         # full recursive evaluation: OPTIONAL groups may carry their own
         # FILTERs, UNIONs and nested OPTIONALs (scoped inside the group)
-        result = _merge_optional(
-            result, eval_group(opt, pattern_bindings, graph_bindings,
-                               service_eval)
-        )
+        result = _merge_optional(result, sub_eval(opt))
     for vname, o in group.get("binds") or []:
         if vname in result.columns:
             raise ValueError(f"BIND would rebind already-bound ?{vname}")
@@ -2591,15 +2617,9 @@ def _eval_group_inner(group: dict, pattern_bindings,
             **{vname: s.astype(object).where(s.notna(), None)}
         )
     for mg in group.get("minus") or []:
-        result = _apply_minus(
-            result, eval_group(mg, pattern_bindings, graph_bindings,
-                               service_eval)
-        )
+        result = _apply_minus(result, sub_eval(mg))
     for positive, eg in group.get("exists") or []:
-        result = _apply_exists(
-            result, eval_group(eg, pattern_bindings, graph_bindings,
-                               service_eval), positive
-        )
+        result = _apply_exists(result, sub_eval(eg), positive)
     return _apply_filters(result, group["filters"])
 
 
@@ -2628,7 +2648,7 @@ def _apply_minus(result: pd.DataFrame, mres: pd.DataFrame) -> pd.DataFrame:
             on = [c for c in shared if not lnull[c] and not rnull[c]]
             if not on:
                 continue
-            m = lg.merge(_ddsafe(rg[on]), on=on, how="inner")
+            m = lg.merge(_distinct(rg[on]), on=on, how="inner")
             drop.update(m["__lid__"].tolist())
     out = left[~left["__lid__"].isin(drop)]
     return out.drop(columns="__lid__").reset_index(drop=True)
@@ -2655,54 +2675,93 @@ def _exists_mask(result: pd.DataFrame, eres: pd.DataFrame) -> pd.Series:
         return pd.Series(len(eres) > 0, index=result.index)
     left = result.reset_index(drop=True)
     left = left.assign(__lid__=np.arange(len(left)))
-    matched = _compat_join(left, _ddsafe(eres[shared]), shared)
+    matched = _compat_join(left, _distinct(eres[shared]), shared)
     ok = left["__lid__"].isin(set(matched["__lid__"]))
     return pd.Series(ok.to_numpy(), index=result.index)
 
 
-def _conjoin(patterns, pattern_bindings) -> pd.DataFrame:
-    """Natural-join the patterns' binding sets. Join ORDER is chosen by
-    greedy selectivity (smallest frame first, then the smallest frame
-    sharing a variable with the accumulated bindings; a cross join only
-    when nothing shares) — safe because pattern frames are fully bound,
-    so the inner joins commute; the written order of an unselective
-    first pattern no longer inflates the intermediates. If any pattern
-    matched nothing the conjunction is empty regardless of order, with
-    every pattern variable present (unbound) in the result schema."""
+def _conjoin(patterns, pattern_bindings) -> pa.Table:
+    """Natural-join the patterns' Arrow binding sets. Join ORDER is
+    chosen by greedy selectivity (smallest set first, then the smallest
+    set sharing a variable with the accumulated bindings; a cross join
+    only when nothing shares) — safe because pattern bindings are fully
+    bound, so the inner joins commute; the written order of an
+    unselective first pattern no longer inflates the intermediates. If
+    any pattern matched nothing the conjunction is empty regardless of
+    order, with every pattern variable present (unbound) in the result
+    schema. A matched variable-free pattern is the join's identity.
+    Joins of distinct sets are distinct, so no dedup runs here."""
     if not patterns:  # pure-OPTIONAL/FILTER group
-        return pd.DataFrame(index=[0])
-    frames = [pattern_bindings(p) for p in patterns]
-    if any(len(f) == 0 for f in frames):
-        cols: list = []
-        for f in frames:
-            cols.extend(c for c in f.columns if c not in cols)
-        return pd.DataFrame(columns=cols, dtype=object)
-    rest = sorted(range(len(frames)), key=lambda i: (len(frames[i]), i))
+        return _unit(1)
+    tables = [pattern_bindings(p) for p in patterns]
+    if any(t.num_rows == 0 for t in tables):
+        return _empty(list(dict.fromkeys(
+            c for t in tables for c in t.column_names)))
+    tables = [t for t in tables if t.num_columns]
+    if not tables:
+        return _unit(1)
+    rest = sorted(range(len(tables)), key=lambda i: (len(tables[i]), i))
     order = [rest.pop(0)]
-    seen = set(frames[order[0]].columns)
+    seen = set(tables[order[0]].column_names)
     while rest:
-        sharing = [i for i in rest if seen & set(frames[i].columns)]
-        pick = min(sharing or rest, key=lambda i: (len(frames[i]), i))
+        sharing = [i for i in rest if seen & set(tables[i].column_names)]
+        pick = min(sharing or rest, key=lambda i: (len(tables[i]), i))
         rest.remove(pick)
         order.append(pick)
-        seen |= set(frames[pick].columns)
-    result: pd.DataFrame | None = None
-    for i in order:
-        result = (frames[i] if result is None
-                  else _merge_bindings(result, frames[i]))
-        result = _ddsafe(result, ignore_index=True)
-        if len(result) == 0:  # NOT .empty — a zero-column boolean frame
-            break             # with rows still means "matched"
+        seen |= set(tables[pick].column_names)
+    result = tables[order[0]]
+    for i in order[1:]:
+        result = _join(result, tables[i])
+        if result.num_rows == 0:
+            break
     return result
 
 
+def _join_ids(left: pa.Table, right: pa.Table
+              ) -> "tuple[np.ndarray, np.ndarray]":
+    """(left row, right row) index pairs of the natural join of two key
+    tables holding no unbound value, in nested-loop order: each left
+    row in turn, its matches in right order (the order a pandas inner
+    merge keeps). No shared column = the cross join, from
+    repeated/tiled indices (Arrow has no cross-join kernel). Arrow
+    hashes full bytes, so NUL twins never match each other."""
+    nl, nr = left.num_rows, right.num_rows
+    if not left.num_columns:
+        return np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
+    keys = left.column_names
+    j = left.append_column("#l", _row_ids(nl)).join(
+        right.append_column("#r", _row_ids(nr)), keys, join_type="inner",
+        use_threads=False)
+    j = j.take(pc.sort_indices(j, [("#l", "ascending"),
+                                   ("#r", "ascending")]))
+    return (j["#l"].to_numpy().astype(np.int64, copy=False),
+            j["#r"].to_numpy().astype(np.int64, copy=False))
+
+
+def _join(left: pa.Table, right: pa.Table) -> pa.Table:
+    """Natural join of two fully bound binding sets (see
+    :func:`_join_ids`); columns are ``left``'s, then ``right``'s new
+    ones."""
+    shared = [c for c in left.column_names if c in right.column_names]
+    li, ri = _join_ids(left.select(shared), right.select(shared))
+    out = _take(left, li)
+    for c in right.column_names:
+        if c not in shared:
+            out = out.append_column(c, right[c].take(ri))
+    return out
+
+
 def _merge_bindings(result: pd.DataFrame, cur: pd.DataFrame) -> pd.DataFrame:
+    """:func:`_join` for the pandas operator block; shared variables
+    unbound on either side take the unbound-compatible join."""
     shared = [c for c in result.columns if c in cur.columns]
-    if not shared:
-        return result.merge(cur, how="cross")
-    if result[shared].notna().all().all() and cur[shared].notna().all().all():
-        return result.merge(cur, on=shared, how="inner")
-    return _compat_join(result, cur, shared)
+    if shared and not (result[shared].notna().all().all()
+                       and cur[shared].notna().all().all()):
+        return _compat_join(result, cur, shared)
+    li, ri = _join_ids(_table(result[shared]), _table(cur[shared]))
+    new = [c for c in cur.columns if c not in shared]
+    return pd.concat([result.iloc[li].reset_index(drop=True),
+                      cur[new].iloc[ri].reset_index(drop=True)], axis=1)
 
 
 def _compat_join(left: pd.DataFrame, right: pd.DataFrame,
@@ -2750,11 +2809,11 @@ def _merge_optional(result: pd.DataFrame, ores: pd.DataFrame) -> pd.DataFrame:
     if len(ores) == 0:
         for c in new_cols:
             result[c] = None
-        return _ddsafe(result, ignore_index=True)
+        return _distinct(result)
     if not shared:
-        return _ddsafe(result.merge(ores, how="cross"), ignore_index=True)
+        return _distinct(result.merge(ores, how="cross"))
     if result[shared].notna().all().all() and ores[shared].notna().all().all():
-        return _ddsafe(result.merge(ores, on=shared, how="left"), ignore_index=True)
+        return _distinct(result.merge(ores, on=shared, how="left"))
     # unbound-compatible LEFT join: compat-inner join plus the left rows
     # that matched nothing (kept once, optional vars unbound)
     left = result.reset_index(drop=True)
@@ -2767,53 +2826,52 @@ def _merge_optional(result: pd.DataFrame, ores: pd.DataFrame) -> pd.DataFrame:
         [matched, unmatched.reindex(columns=matched.columns)],
         ignore_index=True,
     )
-    return _ddsafe(out.drop(columns="__lid__"), ignore_index=True)
+    return _distinct(out.drop(columns="__lid__"))
 
 
-def finalize_bindings(result: pd.DataFrame, spec: dict | None = None
+def _untag(col):
+    """Tagged terms → their values (the tag prefix stripped); native
+    aggregate numbers pass through."""
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        return pc.utf8_slice_codeunits(col, 1)
+    return col
+
+
+def finalize_bindings(result: pa.Table, spec: dict | None = None
                       ) -> pd.DataFrame:
     """Strip tag prefixes from tagged strings; unbound → None; distinct +
-    deterministic sort; then the SELECT solution modifiers from ``spec``
-    (projection / DISTINCT / ORDER BY / LIMIT / OFFSET), if any."""
-    def untag(t):
-        if isinstance(t, str):
-            return t[1:]
-        if isinstance(t, (int, np.integer)):
-            return int(t)  # native aggregate values pass through
-        if isinstance(t, (float, np.floating)) and not np.isnan(t):
-            return float(t)
-        return None
-
-    if spec is not None and spec.get("order_by") and len(result):
-        # computed ORDER BY conditions evaluate against the TAGGED frame
-        # (the expression machinery's representation) into hidden sort
+    deterministic sort by full bytes; then the SELECT solution modifiers
+    from ``spec`` (projection / DISTINCT / ORDER BY / LIMIT / OFFSET),
+    if any — all in Arrow, with one ``to_pandas()`` of the answer."""
+    if spec is not None and spec.get("order_by") and result.num_rows:
+        # computed ORDER BY conditions evaluate against the TAGGED
+        # bindings (the pandas expression machinery) into hidden sort
         # columns; the modifier application sorts by them like any var
         exprs = [(i, k) for i, (k, _a) in enumerate(spec["order_by"])
                  if isinstance(k, tuple)]
         if exprs:
             spec = dict(spec)
             order = list(spec["order_by"])
-            result = result.copy()
+            df = _frame(result)
             for i, k in exprs:
                 col = f"__ordx_{i}"
-                tag, const = _operand_series(k[1], result)
-                result[col] = const if tag is None else tag
+                tag, const = _operand_series(k[1], df)
+                df[col] = const if tag is None else tag
                 order[i] = (col, order[i][1])
             spec["order_by"] = order
-    out = pd.DataFrame(
-        {c: [untag(t) for t in result[c]] for c in result.columns},
-        index=result.index,
-    )
-    if len(out.columns):
-        out = _ddsafe(out, ignore_index=True)
-        out = out.sort_values(
-            list(out.columns), ignore_index=True, na_position="last"
-        )
-    else:
-        out = out.reset_index(drop=True)
+            result = _table(df)
+    cols = result.column_names
+    out = result
+    if cols and not result.num_rows:
+        # an empty answer's columns are float64, as pandas infers them
+        # from empty lists (a projection below makes them objects)
+        out = pa.table({c: pa.array([], pa.float64()) for c in cols})
+    elif cols:
+        out = _distinct_sorted(pa.table({c: _untag(result[c])
+                                         for c in cols}))
     if spec is not None:
         out = apply_result_modifiers(out, spec)
-    return out
+    return _frame(out)
 
 
 def _untagged_numeric(s: pd.Series) -> pd.Series:
@@ -2837,65 +2895,58 @@ def _untagged_numeric(s: pd.Series) -> pd.Series:
     return num
 
 
-def apply_result_modifiers(df: pd.DataFrame, spec: dict) -> pd.DataFrame:
-    """SELECT solution modifiers over a finalized (untagged) binding
-    frame, in SPARQL order: ORDER BY (over the FULL solution, so a
-    non-projected sort var still orders the rows) → projection →
-    DISTINCT → OFFSET → LIMIT. Bindings are already set-semantics
-    upstream, so projection without DISTINCT keeps the remaining
-    multiplicities as-is."""
+def apply_result_modifiers(t: pa.Table, spec: dict) -> pa.Table:
+    """SELECT solution modifiers over finalized (untagged) bindings, in
+    SPARQL order: ORDER BY (over the FULL solution, so a non-projected
+    sort var still orders the rows) → projection → DISTINCT → OFFSET →
+    LIMIT. Bindings are already set-semantics upstream, so projection
+    without DISTINCT keeps the remaining multiplicities as-is."""
     order = spec.get("order_by")
-    if order and len(df):
+    cols = t.column_names
+    if order and t.num_rows:
         # sort pre-projection; remaining columns are the deterministic
         # tie-break (projection below preserves this row order). An
         # ORDER BY key whose values are ALL numeric (native aggregate
         # numbers, plain numeric strings, or decorated numeric literals)
         # sorts by VALUE, per SPARQL; mixed/non-numeric keys fall back to
         # codepoint order on the untagged form.
-        keys = [c for c, _ in order if c in df.columns]
-        asc = [a for c, a in order if c in df.columns]
-        rest = [c for c in df.columns if c not in keys]
-        if keys or rest:
-            work = df.copy()
-            sort_keys = []
-            for c in keys:
-                num = _untagged_numeric(work[c])
-                if num.notna().all() and len(num):
-                    work["__ord_" + c] = num
-                    sort_keys.append("__ord_" + c)
-                else:
-                    sort_keys.append(c)
-            work = work.sort_values(
-                sort_keys + rest, ascending=asc + [True] * len(rest),
-                ignore_index=True, na_position="last",
-            )
-            df = work[df.columns.tolist()]
+        keys = [(c, a) for c, a in order if c in cols]
+        named = {c for c, _ in keys}
+        sort = []
+        for c, a in keys:
+            num = _untagged_numeric(t[c].to_pandas())
+            if num.notna().all() and len(num):
+                sort.append((pa.array(num.to_numpy("float64")), a))
+            else:
+                sort.append((t[c], a))
+        sort += [(t[c], True) for c in cols if c not in named]
+        t = _take(t, _order(sort))
     select = spec.get("select")
     if select is not None:
-        df = df.reindex(columns=select)
-        for c in select:  # vars never bound anywhere → None, not float NaN
-            if df[c].isna().all():
-                df[c] = None
-    elif any(c.startswith("__bn_") for c in df.columns):
+        # vars never bound anywhere → None, not float NaN
+        n = t.num_rows
+        t = pa.table({c: t[c] if c in cols and t[c].null_count < n
+                      else pa.nulls(n, pa.string()) for c in select}) \
+            if select else _unit(n)
+    elif any(c.startswith("__bn_") for c in cols):
         # SELECT * never projects blank-node-label variables (they are
         # scoped to the pattern, not part of the solution sequence)
-        df = df[[c for c in df.columns if not c.startswith("__bn_")]]
+        t = t.select([c for c in cols if not c.startswith("__bn_")])
     if spec.get("distinct"):
-        df = _ddsafe(df, ignore_index=True)
-    if not order and len(df.columns) and len(df):
-        df = df.sort_values(list(df.columns), ignore_index=True,
-                            na_position="last")
+        t = _first_rows(t)
+    if not order and t.num_columns and t.num_rows:
+        t = _take(t, _order([(t[c], True) for c in t.column_names]))
     offset = spec.get("offset") or 0
     if offset:
-        df = df.iloc[offset:].reset_index(drop=True)
+        t = t.slice(offset)
     limit = spec.get("limit")
     if limit is not None:
-        df = df.head(limit).reset_index(drop=True)
-    hidden = [c for c in df.columns
+        t = t.slice(0, limit)
+    hidden = [c for c in t.column_names
               if c.startswith(("__ordx_", "__grp_", "__hagg"))]
     if hidden:  # computed sort/group/having keys never project
-        df = df.drop(columns=hidden)
-    return df
+        t = t.drop_columns(hidden)
+    return t
 
 
 def format_term(term) -> str:
@@ -2942,7 +2993,7 @@ def format_pattern(pattern) -> str:
 
 
 # ------------------------------------------------------ property paths -----
-def graph_node_terms(table: pa.Table, endpoint_terms=()) -> pd.Series:
+def graph_node_terms(table: pa.Table, endpoint_terms=()) -> pa.Array:
     """Distinct TAGGED terms of a triple table (subjects ∪ objects, in
     first-appearance order) plus any constant endpoint terms — the
     zero-length-path universe for ``*``/``?`` (the spec's ALP evaluation
@@ -2956,59 +3007,66 @@ def graph_node_terms(table: pa.Table, endpoint_terms=()) -> pd.Series:
     ]
     terms = pa.chunked_array(
         subj.chunks + obj.chunks + [pa.array(extras, subj.type)], subj.type)
-    return pc.unique(terms).to_pandas()
+    return pc.unique(terms)
 
 
-def path_edges_from_frame(table: pa.Table, iri) -> pd.DataFrame:
+def _pairs(start, end) -> pa.Table:
+    """A path's (start, end) pair set: two tagged term columns."""
+    return pa.table({"__s": start, "__o": end})
+
+
+def path_edges_from_frame(table: pa.Table, iri) -> pa.Table:
     """(start, end) TAGGED pairs for one predicate — or, given
     ``("not", iris)``, for every predicate outside the set (negated
-    property sets) — in a triple table. Only the matched edges leave
-    Arrow."""
+    property sets) — in a triple table, distinct, in first-appearance
+    order."""
     pred = table["pred"]
     if isinstance(iri, tuple) and iri[0] == "not":
         sub = table.filter(pc.invert(
             pc.is_in(pred, pa.array(list(iri[1]), pred.type))))
     else:
         sub = table.filter(pc.equal(pred, iri))
-    return _first_rows(pa.table({"__s": _tag(sub, "subj"),
-                                 "__o": _tag(sub, "obj")})).to_pandas()
+    return _first_rows(_pairs(_tag(sub, "subj"), _tag(sub, "obj")))
 
 
-def _plus_closure(base: pd.DataFrame) -> pd.DataFrame:
+def _compose(a: pa.Table, b: pa.Table) -> pa.Table:
+    """Pairs (x, z) with (x, y) in ``a`` and (y, z) in ``b``: distinct,
+    in nested-loop order."""
+    j = _join(a.rename_columns(["__s", _ROW]), b.rename_columns([_ROW, "__o"]))
+    return _first_rows(j.select(["__s", "__o"]))
+
+
+def _plus_closure(base: pa.Table) -> pa.Table:
     """Transitive closure of a (__s, __o) pair set by frontier expansion
     (terminates: the pair set is bounded by nodes²; each round adds only
-    unseen pairs)."""
-    total = base
-    frontier = base
-    while len(frontier):
-        m = frontier.merge(base, left_on="__o", right_on="__s",
-                           suffixes=("_l", "_r"))
-        step = _ddsafe(pd.DataFrame(
-            {"__s": m["__s_l"], "__o": m["__o_r"]}
-        ))
-        new = step.merge(total, on=["__s", "__o"], how="left", indicator=True)
-        new = new[new["_merge"] == "left_only"][["__s", "__o"]]
-        if not len(new):
+    unseen pairs, in the order they are reached)."""
+    total = frontier = base
+    while frontier.num_rows:
+        step = _compose(frontier, base)
+        new = step.append_column(_ROW, _row_ids(step.num_rows)).join(
+            total, ["__s", "__o"], join_type="left anti", use_threads=False)
+        if not new.num_rows:
             break
-        total = pd.concat([total, new], ignore_index=True)
+        new = new.take(pc.sort_indices(new[_ROW])).select(["__s", "__o"])
+        total = pa.concat_tables([total, new])
         frontier = new
     return total
 
 
-def eval_path_pairs(ast, edges_of, nodes_of=None) -> pd.DataFrame:
+def eval_path_pairs(ast, edges_of, nodes_of=None) -> pa.Table:
     """Evaluate a path AST over ``edges_of(iri) → (__s, __o) pairs``.
     The edge source is pluggable for the same reason as
     :func:`eval_group`'s pattern source: locally it reads one triple
-    frame; the distributed router feeds it unioned per-partition edge
+    table; the distributed router feeds it unioned per-partition edge
     bindings, because a transitive path may cross partitions and cannot
     be evaluated per-partition.
 
-    ``nodes_of() → tagged term Series`` supplies the node universe for
+    ``nodes_of() → tagged terms`` supplies the node universe for
     the zero-length component of ``*`` / ``?`` (per spec a zero-length
     path matches every graph term to itself; callers fold the pattern's
     constant endpoints in, matching the spec's ALP evaluation from a
     bound start). Only ``*`` / ``?`` pay that cost — ``+``/``/``/``|``
-    never touch the universe."""
+    never touch the universe. Pair sets are Arrow tables."""
     kind = ast[0]
     if kind == "pred":
         return edges_of(ast[1])
@@ -3019,63 +3077,51 @@ def eval_path_pairs(ast, edges_of, nodes_of=None) -> pd.DataFrame:
         return edges_of(("not", tuple(ast[1])))
     if kind == "inv":
         e = eval_path_pairs(ast[1], edges_of, nodes_of)
-        return e.rename(columns={"__s": "__o", "__o": "__s"})[["__s", "__o"]]
+        return _pairs(e["__o"], e["__s"])
     if kind == "seq":
         cur = eval_path_pairs(ast[1][0], edges_of, nodes_of)
         for step in ast[1][1:]:
-            if not len(cur):
+            if not cur.num_rows:
                 break
-            nxt = eval_path_pairs(step, edges_of, nodes_of)
-            m = cur.merge(nxt, left_on="__o", right_on="__s",
-                          suffixes=("_l", "_r"))
-            cur = _ddsafe(pd.DataFrame(
-                {"__s": m["__s_l"], "__o": m["__o_r"]}
-            ))
+            cur = _compose(cur, eval_path_pairs(step, edges_of, nodes_of))
         return cur
     if kind == "alt":
-        return _ddsafe(pd.concat(
-            [eval_path_pairs(b, edges_of, nodes_of) for b in ast[1]],
-            ignore_index=True,
-        ))
+        return _first_rows(pa.concat_tables(
+            [eval_path_pairs(b, edges_of, nodes_of) for b in ast[1]]))
     if kind in ("star", "ques"):
         if nodes_of is None:
             raise ValueError(
                 f"'{'*' if kind == 'star' else '?'}' needs a node universe"
             )
-        nodes = _ddsafe(pd.Series(nodes_of()).dropna())
-        zero = pd.DataFrame({"__s": nodes.to_numpy(),
-                             "__o": nodes.to_numpy()})
-        inner = _ddsafe(eval_path_pairs(ast[1], edges_of, nodes_of))
+        nodes = pc.unique(pc.drop_null(nodes_of()))
+        inner = _first_rows(eval_path_pairs(ast[1], edges_of, nodes_of))
         step = _plus_closure(inner) if kind == "star" else inner
-        return _ddsafe(pd.concat([zero, step], ignore_index=True))
+        return _first_rows(pa.concat_tables([_pairs(nodes, nodes), step]))
     # plus
-    base = _ddsafe(eval_path_pairs(ast[1], edges_of, nodes_of))
-    return _plus_closure(base)
+    return _plus_closure(
+        _first_rows(eval_path_pairs(ast[1], edges_of, nodes_of)))
 
 
-def bindings_from_pairs(pairs: pd.DataFrame, s_term, o_term) -> pd.DataFrame:
-    """Path (start, end) pairs + subject/object terms → tagged binding
-    frame (same contract as :func:`eval_one_pattern`)."""
-    cur = pairs
+def bindings_from_pairs(pairs: pa.Table, s_term, o_term) -> pa.Table:
+    """Path (start, end) pairs + subject/object terms → tagged Arrow
+    binding set (same contract as :func:`eval_one_pattern`)."""
+    mask = None
     var_positions: dict = {}
-    for pos, term in (("__s", s_term), ("__o", o_term)):
-        kind, val = term
+    for pos, (kind, val) in (("__s", s_term), ("__o", o_term)):
         if kind == "var":
             var_positions.setdefault(val, []).append(pos)
-        elif kind == "iri":
-            cur = cur[cur[pos] == "I" + val]
-        else:
-            cur = cur[cur[pos] == "L" + val]
-    mask = pd.Series(True, index=cur.index)
-    for var, positions in var_positions.items():
+            continue
+        m = pc.equal(pairs[pos], ("I" if kind == "iri" else "L") + val)
+        mask = m if mask is None else pc.and_(mask, m)
+    for positions in var_positions.values():
         for extra in positions[1:]:
-            mask &= cur[positions[0]] == cur[extra]
+            m = pc.equal(pairs[positions[0]], pairs[extra])
+            mask = m if mask is None else pc.and_(mask, m)
+    cur = pairs if mask is None else pairs.filter(mask)
     if not var_positions:
-        return pd.DataFrame(index=pd.RangeIndex(min(len(cur), 1)))
-    proj = pd.DataFrame(index=cur.index)
-    for var, positions in var_positions.items():
-        proj[var] = cur[positions[0]]
-    return _ddsafe(proj[mask], ignore_index=True)
+        return _unit(min(cur.num_rows, 1))
+    return _first_rows(pa.table({var: cur[ps[0]]
+                                 for var, ps in var_positions.items()}))
 
 
 def eval_subquery(sub: dict, pattern_bindings,
@@ -3090,8 +3136,10 @@ def eval_subquery(sub: dict, pattern_bindings,
     res = eval_group(sub, pattern_bindings, graph_bindings,
                      service_eval)
     if sub.get("aggregates") or sub.get("group_by"):
-        res = _materialize_agg_exprs(res, sub)
-        res = aggregate_bindings(res, sub)
+        res = aggregate_bindings(_assign_exprs(res, sub.get("agg_exprs")),
+                                 sub)
+    res = _frame(res)
+    if sub.get("aggregates") or sub.get("group_by"):
         for flt in sub.get("having") or []:
             res = res[[_having_true(row, flt)
                        for row in res.to_dict("records")]]
@@ -3117,19 +3165,17 @@ def eval_subquery(sub: dict, pattern_bindings,
                 norm.append((col, a))
             else:
                 norm.append((k, a))
-        keys = [c for c, _ in norm if c in res.columns]
-        asc = [a for c, a in norm if c in res.columns]
-        rest = [c for c in res.columns
-                if c not in keys and c not in drop_ord]
-        res = res.sort_values(keys + rest, ascending=asc + [True] * len(rest),
-                              ignore_index=True, na_position="last")
+        keys = [(c, a) for c, a in norm if c in res.columns]
+        named = {c for c, _ in keys}
+        res = _sort_frame(res, keys + [
+            (c, True) for c in res.columns
+            if c not in named and c not in drop_ord])
         if drop_ord:
             res = res.drop(columns=drop_ord)
     elif (limit is not None or offset) and len(res) and len(res.columns):
         # LIMIT without ORDER BY: sort all columns so the pick is
         # deterministic (SPARQL leaves it implementation-defined)
-        res = res.sort_values(list(res.columns), ignore_index=True,
-                              na_position="last")
+        res = _sort_frame(res, [(c, True) for c in res.columns])
     for name, o in sub.get("select_exprs") or []:
         if name in res.columns:
             raise ValueError(f"projection alias ?{name} is already bound")
@@ -3138,7 +3184,7 @@ def eval_subquery(sub: dict, pattern_bindings,
     if sub.get("select") is not None:
         res = res.reindex(columns=sub["select"])
     if sub.get("distinct"):
-        res = _ddsafe(res, ignore_index=True)
+        res = _distinct(res)
     if offset:
         res = res.iloc[offset:]
     if limit is not None:
@@ -3146,13 +3192,14 @@ def eval_subquery(sub: dict, pattern_bindings,
     return res.reset_index(drop=True)
 
 
-def eval_pattern_in_graph(quads: pa.Table, pattern, gterm) -> pd.DataFrame:
+def eval_pattern_in_graph(quads: pa.Table, pattern, gterm) -> pa.Table:
     """One pattern against a QUAD table (``graph_id`` + triple columns)
-    under a ``GRAPH`` term: a constant IRI restricts to that named graph
-    (the reference's graphs are keyed the same way, one per source url);
-    a variable binds the graph id as an IRI term alongside the pattern's
-    own variables — the shared graph column then keeps every pattern of
-    the GRAPH block in the same graph through the ordinary join algebra."""
+    under a ``GRAPH`` term → Arrow binding set: a constant IRI restricts
+    to that named graph (the reference's graphs are keyed the same way,
+    one per source url); a variable binds the graph id as an IRI term
+    alongside the pattern's own variables — the shared graph column then
+    keeps every pattern of the GRAPH block in the same graph through the
+    ordinary join algebra."""
     kind, val = gterm
     if kind == "iri":
         return eval_one_pattern(
@@ -3164,31 +3211,146 @@ def eval_pattern_in_graph(quads: pa.Table, pattern, gterm) -> pd.DataFrame:
         # per graph present in the quad table and tag the graph id —
         # per-graph work is bounded by that graph's own edge count.
         # Graphs run in sorted id order, each keeping its rows' order.
-        order = pc.sort_indices(
-            quads.append_column(_ROW, pa.array(np.arange(quads.num_rows))),
-            sort_keys=[("graph_id", "ascending"), (_ROW, "ascending")])
-        quads = quads.take(order)
+        quads = quads.take(pc.sort_indices(
+            quads.append_column(_ROW, _row_ids(quads.num_rows)),
+            sort_keys=[("graph_id", "ascending"), (_ROW, "ascending")]))
         ids = quads["graph_id"].to_numpy(zero_copy_only=False)
         _, starts = np.unique(ids, return_index=True)
         parts = []
         for a, b in zip(starts, [*starts[1:], len(ids)]):
             res = eval_one_pattern(quads.slice(a, b - a), pattern)
-            if len(res):
+            if res.num_rows:
                 tag = "I" + ids[a]
-                if val in res.columns:  # GRAPH ?g { ?g <p>+ ?o }
-                    res = res[res[val] == tag]
+                if val in res.column_names:  # GRAPH ?g { ?g <p>+ ?o }
+                    res = res.filter(pc.equal(res[val], tag))
                 else:
-                    res = res.assign(**{val: tag})
+                    res = res.append_column(
+                        val, pa.array([tag] * res.num_rows, pa.string()))
                 parts.append(res)
         if not parts:
             out = eval_one_pattern(quads.slice(0, 0), pattern)
-            out[val] = pd.Series(dtype=object)
+            if val not in out.column_names:
+                out = out.append_column(val, pa.array([], pa.string()))
             return out
-        return _ddsafe(pd.concat(parts, ignore_index=True), ignore_index=True)
+        return _first_rows(pa.concat_tables(parts))
     return eval_one_pattern(quads, pattern, graph_var=val)
 
 
+# ------------------------------------------------- Arrow binding sets ------
+# A binding set is a pa.Table of tagged-term string columns (null =
+# unbound; aggregates add native int64/double columns) from the pattern
+# scan to the final answer. Row order is part of the contract: scans
+# keep first appearance, joins nested-loop order.
+
 _ROW = "#row"  # row-number column of the Arrow kernels; never a variable
+
+
+def _row_ids(n: int) -> pa.Array:
+    return pa.array(np.arange(n, dtype=np.int64))
+
+
+def _unit(n: int) -> pa.Table:
+    """A zero-column binding set of ``n`` rows: 1 is the one empty
+    solution (a matched variable-free pattern), 0 no solution. pyarrow
+    16 drops such a table's row count in ``concat_tables``, ``take`` and
+    pickling, so it never crosses an actor boundary as a table."""
+    return pa.table({_ROW: pa.nulls(n)}).drop_columns([_ROW])
+
+
+def _empty(cols) -> pa.Table:
+    """A binding set with no rows over ``cols``."""
+    return pa.table({c: pa.array([], pa.string()) for c in cols}) \
+        if cols else _unit(0)
+
+
+def _take(t: pa.Table, idx) -> pa.Table:
+    return t.take(idx) if t.num_columns else _unit(len(idx))
+
+
+def _first_ids(table: pa.Table) -> np.ndarray:
+    """Row numbers of ``table``'s distinct rows, each at its first
+    appearance, ascending. Arrow hashes full bytes, so rows that differ
+    only past a NUL stay distinct."""
+    cols = table.column_names
+    t = table.append_column(_ROW, _row_ids(table.num_rows))
+    g = t.group_by(cols, use_threads=False).aggregate([(_ROW, "min")])
+    return np.sort(g[_ROW + "_min"].to_numpy().astype(np.int64))
+
+
+def _first_rows(table: pa.Table) -> pa.Table:
+    """Distinct rows of ``table`` in first-appearance order (a
+    zero-column table is returned as is)."""
+    if not table.num_columns:
+        return table
+    return table.take(_first_ids(table))
+
+
+def _order(keys) -> pa.Array:
+    """Row order sorting by ``keys`` — ``(column, ascending)`` pairs of
+    equal length: strings by full bytes (code point order), unbound
+    last, ties kept in row order (a stable sort)."""
+    n = len(keys[0][0])
+    t = pa.table({str(i): col for i, (col, _) in enumerate(keys)}
+                 | {_ROW: _row_ids(n)})
+    return pc.sort_indices(t, sort_keys=[
+        (str(i), "ascending" if asc else "descending")
+        for i, (_, asc) in enumerate(keys)] + [(_ROW, "ascending")],
+        null_placement="at_end")
+
+
+def _distinct_sorted(t: pa.Table) -> pa.Table:
+    """Distinct rows of ``t`` sorted by every column in order."""
+    d = t.group_by(t.column_names, use_threads=False).aggregate([])
+    return d.take(_order([(d[c], True) for c in t.column_names]))
+
+
+def _frame(t: pa.Table) -> pd.DataFrame:
+    """Arrow binding set → pandas frame: the one ``to_pandas()`` of an
+    answer, and the way into the pandas operator block. A column with no
+    bound value is an object column of ``None``, as pandas infers it."""
+    n = t.num_rows
+    if not t.num_columns:
+        return pd.DataFrame(index=pd.RangeIndex(n))
+    if n and any(t[c].null_count == n for c in t.column_names):
+        t = pa.table({c: pa.nulls(n) if t[c].null_count == n else t[c]
+                      for c in t.column_names})
+    return t.to_pandas()
+
+
+def _column(s: pd.Series) -> pa.Array:
+    a = pa.array(s, from_pandas=True)
+    return a.cast(pa.string()) if pa.types.is_null(a.type) else a
+
+
+def _table(df: pd.DataFrame) -> pa.Table:
+    """pandas frame → Arrow binding set: the way out of the pandas
+    operator block. Unbound (None/NaN) becomes null; a column with no
+    bound value is a string column."""
+    if not len(df.columns):
+        return _unit(len(df))
+    return pa.table({c: _column(df[c]) for c in df.columns})
+
+
+def _distinct(df: pd.DataFrame) -> pd.DataFrame:
+    """Distinct rows of a pandas-block frame in first-appearance order,
+    decided in Arrow (full bytes), dtypes kept."""
+    if not len(df.columns) or not len(df):
+        return df.reset_index(drop=True)
+    return df.iloc[_first_ids(_table(df))].reset_index(drop=True)
+
+
+def _sort_frame(df: pd.DataFrame, keys) -> pd.DataFrame:
+    """A pandas-block frame sorted by :func:`_order` over ``keys`` (column
+    names or ``(column, ascending)`` pairs), dtypes kept."""
+    keys = [(k, True) if isinstance(k, str) else k for k in keys]
+    if not keys or not len(df):
+        return df.reset_index(drop=True)
+    order = _order([(_column(df[c]), a) for c, a in keys])
+    return df.iloc[order.to_numpy()].reset_index(drop=True)
+
+
+def _distinct_sorted_frame(df: pd.DataFrame) -> pd.DataFrame:
+    return _sort_frame(_distinct(df), list(df.columns))
 
 
 def _tag(table: pa.Table, pos: str):
@@ -3202,24 +3364,14 @@ def _tag(table: pa.Table, pos: str):
                       pc.binary_join_element_wise("L", col, ""), iri)
 
 
-def _first_rows(table: pa.Table) -> pa.Table:
-    """Distinct rows of ``table`` in first-appearance order. Arrow hashes
-    full bytes, so rows that differ only past a NUL stay distinct."""
-    cols = table.column_names
-    t = table.append_column(_ROW, pa.array(np.arange(table.num_rows)))
-    g = t.group_by(cols, use_threads=False).aggregate([(_ROW, "min")])
-    return g.take(pc.sort_indices(g[_ROW + "_min"])).select(cols)
-
-
 def eval_one_pattern(table: pa.Table, pattern,
-                     graph_var: str | None = None) -> pd.DataFrame:
+                     graph_var: str | None = None) -> pa.Table:
     """One triple pattern against an Arrow triple table (``subj, pred,
-    obj, obj_is_literal``; a quad table adds ``graph_id``) → frame of
-    TAGGED bindings: one column per variable in first-occurrence order,
-    distinct rows in the order they first appear in ``table``, a
-    ``RangeIndex`` (a zero-column frame with 0/1 rows for a
-    variable-free pattern). The scan runs in Arrow; only the bindings
-    become pandas.
+    obj, obj_is_literal``; a quad table adds ``graph_id``) → Arrow
+    binding set of TAGGED terms: one column per variable in
+    first-occurrence order, distinct rows in the order they first appear
+    in ``table`` (a zero-column table of 0/1 rows for a variable-free
+    pattern).
 
     A tagged binding is a plain string ``"I" + value`` (IRI) or
     ``"L" + value`` (literal; decorated token for typed/lang) — a
@@ -3255,7 +3407,7 @@ def eval_one_pattern(table: pa.Table, pattern,
         # out of the repeated-variable equality below
         var_positions.setdefault(graph_var, []).append("graph_id")
     if not var_positions:  # boolean pattern
-        return pd.DataFrame(index=pd.RangeIndex(min(cur.num_rows, 1)))
+        return _unit(min(cur.num_rows, 1))
     tagged = {pos: _tag(cur, pos)
               for ps in var_positions.values() for pos in ps}
     out = pa.table({var: tagged[ps[0]] for var, ps in var_positions.items()})
@@ -3267,7 +3419,7 @@ def eval_one_pattern(table: pa.Table, pattern,
             keep = m if keep is None else pc.and_(keep, m)
     if keep is not None:
         out = out.filter(keep)
-    return _first_rows(out).to_pandas()
+    return _first_rows(out)
 
 
 # ------------------------------------------------------------- FILTER ------
@@ -3906,7 +4058,7 @@ def _filter_mask(result: pd.DataFrame, flt) -> pd.Series:
                 "EXISTS inside an expression needs a group-evaluation "
                 "context (evaluate through eval_group/query_at)"
             )
-        eres = _exists_stack()[-1](eg)
+        eres = _frame(_exists_stack()[-1](eg))
         ok = _exists_mask(result, eres)
         return ok if positive else ~ok
     if flt[0] == "bound":
@@ -4209,12 +4361,13 @@ class DiffStoreReader(AsOfReads):
                         service_tables=endpoints, finalize=finalize)
 
     def graph_at(self, graph_id: str, ts) -> "str | None":
-        """One graph's live canonical text at ``ts`` (None if absent)."""
-        live = reconstruct.state_at_table(self.deltas, ts_key(ts))
-        hit = live.filter(pc.equal(live["graph_id"], graph_id))
-        if hit.num_rows == 0:
+        """One graph's live canonical text at ``ts`` (None if absent):
+        the as-of read of that graph's rows only."""
+        rows = self.deltas.filter(pc.equal(self.deltas["graph_id"], graph_id))
+        live = reconstruct.state_at_table(rows, ts_key(ts))
+        if live.num_rows == 0:
             return None
-        return hit["delta_text"][0].as_py()
+        return live["delta_text"][0].as_py()
 
     def diff(self, ts1, ts2) -> pd.DataFrame:
         """Triples added/removed between two store versions — the

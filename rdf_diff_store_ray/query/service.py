@@ -39,11 +39,16 @@ and BGP matching are therefore per-partition-local:
 
 Every actor scans its partition's per-instant Arrow triple (or quad)
 table with the reader's own pattern kernel
-(:func:`..query.bgp.eval_one_pattern`); only the tagged bindings become
-pandas, and they are what crosses to the router. A push-down call
-reports its cache level by the front door's rule: ``Query`` on a
-pattern-cache hit, ``Store`` iff the instant was materialized, else
-``Nothing``.
+(:func:`..query.bgp.eval_one_pattern`), and the tagged Arrow binding set
+is what crosses to the router, as Arrow IPC stream bytes (a
+variable-free pattern crosses as its row count: pyarrow drops a
+zero-column table's rows in pickling). One actor call per partition
+carries every pattern of a gather round. The router's gather is
+``concat_tables`` + the kernel's first-appearance distinct, and its
+joins, GROUP BY and finalization are the local evaluator's Arrow
+operators. A push-down call reports its cache level by
+the front door's rule: ``Query`` on a pattern-cache hit, ``Store`` iff
+the instant was materialized, else ``Nothing``.
 """
 
 from __future__ import annotations
@@ -56,10 +61,39 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..shuffle_utils import drop_duplicates_nul_safe as _ddsafe
 from ..state import reconstruct
-from .bgp import DiffStoreReader
+from .bgp import (DiffStoreReader, _distinct_sorted, _first_rows, _frame,
+                  _table, _unit)
 from .front import AsOfReads, ts_key
+
+
+def _ship(t: pa.Table):
+    """What an actor returns for a binding set: its Arrow IPC stream
+    bytes (a Ray reply of plain bytes costs about half that of a pickled
+    table, measured at 600 rows on one CPU), or for a zero-column set
+    its row count."""
+    if not t.num_columns:
+        return t.num_rows
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+def _land(part) -> pa.Table:
+    """Inverse of :func:`_ship`."""
+    return _unit(part) if isinstance(part, int) else \
+        pa.ipc.open_stream(part).read_all()
+
+
+def _union(tables: list) -> pa.Table:
+    """The distinct union of per-partition binding sets, first
+    appearance in partition order."""
+    if not tables[0].num_columns:
+        return _unit(min(sum(t.num_rows for t in tables), 1))
+    if len(tables) == 1:
+        return tables[0]
+    return _first_rows(pa.concat_tables(tables))
 
 
 @ray.remote
@@ -94,20 +128,25 @@ class PartitionReaderActor:
         reader.query_cache.put((k,) + key, out)
         return out
 
-    def pattern_bindings(self, ts, pattern_str: str) -> pd.DataFrame:
-        """TAGGED bindings of ONE pattern against this partition's live
-        triples — the push-down unit of the distributed multi-pattern
-        path."""
+    def pattern_bindings(self, ts, pattern_strs: list) -> list:
+        """TAGGED Arrow bindings of each pattern against this partition's
+        live triples (see :func:`_ship`) — the push-down unit of the
+        distributed multi-pattern path; one call carries every pattern
+        of a gather round."""
         from .bgp import eval_one_pattern, parse_query
 
-        def scan(k):
-            pat = parse_query(pattern_str)["patterns"][0]
-            return eval_one_pattern(self.reader._at(k, "store"), pat)
+        def scan(pattern_str):
+            def run(k):
+                pat = parse_query(pattern_str)["patterns"][0]
+                return _ship(eval_one_pattern(self.reader._at(k, "store"),
+                                              pat))
+            return run
 
-        return self._cached(ts, (pattern_str, "tagged"), scan)
+        return [self._cached(ts, (ps, "tagged"), scan(ps))
+                for ps in pattern_strs]
 
     def graph_pattern_bindings(self, ts, pattern_str: str,
-                               gterm_str: str) -> pd.DataFrame:
+                               gterm_str: str):
         """TAGGED bindings of one GRAPH-scoped pattern against this
         partition's live QUADS. Per-partition-local for the same reason
         plain patterns are: a graph's whole history lives in exactly one
@@ -119,17 +158,18 @@ class PartitionReaderActor:
             return eval_pattern_in_graph(self.reader._at(k, "quads"), pat,
                                          _parse_term(gterm_str))
 
-        return self._cached(ts, (gterm_str, pattern_str, "graph"), scan)
+        return self._cached(ts, (gterm_str, pattern_str, "graph"),
+                            lambda k: _ship(scan(k)))
 
-    def node_terms(self, ts) -> pd.DataFrame:
+    def node_terms(self, ts) -> bytes:
         """Distinct tagged subject/object terms of this partition's live
         triples — the partition's share of the zero-length-path node
         universe (``*``/``?``)."""
         from .bgp import graph_node_terms
 
         def scan(k):
-            return graph_node_terms(
-                self.reader._at(k, "store")).to_frame(name="__node")
+            return _ship(pa.table(
+                {"__node": graph_node_terms(self.reader._at(k, "store"))}))
 
         return self._cached(ts, ("__node_terms__",), scan)
 
@@ -232,12 +272,13 @@ class QueryService(AsOfReads):
                                            or _per_partition(g)):
             parts = ray.get([a.query_at.remote(k, query)
                              for a in self.actors])
+            if not len(parts[0].columns):
+                return _frame(_unit(min(sum(map(len, parts)), 1)))
+            parts = [p for p in parts if len(p)] or parts[:1]
             if len(parts) == 1:
                 return parts[0]
-            merged = _ddsafe(pd.concat(parts, ignore_index=True),
-                             ignore_index=True)
-            return merged.sort_values(list(merged.columns),
-                                      ignore_index=True)
+            return _frame(_distinct_sorted(
+                pa.concat_tables([_table(p) for p in parts])))
         return self._push_down(k, g, endpoints, finalize)
 
     def _push_down(self, ts, group: dict, endpoints: "dict | None",
@@ -253,6 +294,8 @@ class QueryService(AsOfReads):
         ``?s ?p ?o`` pattern still transfers everything, exactly as the
         reference's full-store load does (``src/query.rs:117-145``)."""
         from .bgp import (
+            _empty,
+            _pairs,
             _tagged_result,
             bindings_from_pairs,
             eval_group,
@@ -263,15 +306,21 @@ class QueryService(AsOfReads):
             service_evaluator,
         )
 
+        gathered: dict = {}
+
+        def gather(pats):
+            # one actor call per partition for the whole round
+            todo = [ps for ps in dict.fromkeys(map(format_pattern, pats))
+                    if ps not in gathered]
+            if todo:
+                parts = ray.get([a.pattern_bindings.remote(ts, todo)
+                                 for a in self.actors])
+                for i, ps in enumerate(todo):
+                    gathered[ps] = _union([_land(p[i]) for p in parts])
+
         def gather_pattern(pat):
-            ps = format_pattern(pat)
-            parts = ray.get(
-                [a.pattern_bindings.remote(ts, ps) for a in self.actors]
-            )
-            cur = pd.concat(parts, ignore_index=True)
-            if len(cur.columns):
-                return _ddsafe(cur, ignore_index=True)
-            return cur.head(1)  # boolean pattern: any partition matched
+            gather([pat])
+            return gathered[format_pattern(pat)]
 
         def pattern_bindings(pat):
             s, p, o = pat
@@ -282,7 +331,7 @@ class QueryService(AsOfReads):
             # close over the union on the router, then bind s/o —
             # router memory is bounded by the path predicates' edge
             # counts, the same bound a ?s <p> ?o pattern already has
-            def edges_of(iri) -> pd.DataFrame:
+            def edges_of(iri) -> pa.Table:
                 if isinstance(iri, tuple) and iri[0] == "not":
                     # negated property set: gather ALL edges (the same
                     # store-bound transfer an unrestricted ?s ?p ?o
@@ -290,39 +339,30 @@ class QueryService(AsOfReads):
                     e = gather_pattern(
                         (("var", "_ps"), ("var", "_pp"), ("var", "_po"))
                     )
-                    if not len(e.columns):
-                        return pd.DataFrame(columns=["__s", "__o"])
-                    e = e[~e["_pp"].isin(["I" + i for i in iri[1]])]
-                    return _ddsafe(e.rename(
-                        columns={"_ps": "__s", "_po": "__o"}
-                    )[["__s", "__o"]])
+                    e = e.filter(pc.invert(pc.is_in(
+                        e["_pp"], pa.array(["I" + i for i in iri[1]],
+                                           pa.string()))))
+                    return _first_rows(_pairs(e["_ps"], e["_po"]))
                 e = gather_pattern(
                     (("var", "_ps"), ("iri", iri), ("var", "_po"))
                 )
-                if not len(e.columns):
-                    return pd.DataFrame(columns=["__s", "__o"])
-                return e.rename(columns={"_ps": "__s", "_po": "__o"})
+                return _pairs(e["_ps"], e["_po"])
 
-            def nodes_of() -> pd.Series:
+            def nodes_of() -> pa.Array:
                 # zero-length component of */?: union the partitions'
                 # distinct term vocabularies (store-vocabulary-sized —
                 # the same transfer bound as a ?s ?p ?o gather's terms),
                 # plus the pattern's constant endpoints per the spec
-                parts = ray.get(
-                    [a.node_terms.remote(ts) for a in self.actors]
-                )
-                nodes = pd.concat(parts, ignore_index=True)["__node"]
+                parts = [_land(p)["__node"] for p in ray.get(
+                    [a.node_terms.remote(ts) for a in self.actors])]
                 extras = [
                     ("I" if kind == "iri" else "L") + val
                     for kind, val in (s, o)
                     if kind in ("iri", "lit")
                 ]
-                if extras:
-                    nodes = pd.concat(
-                        [nodes, pd.Series(extras, dtype=object)],
-                        ignore_index=True,
-                    )
-                return _ddsafe(nodes)
+                return pc.unique(pa.chunked_array(
+                    [c for p in parts for c in p.chunks]
+                    + [pa.array(extras, pa.string())], pa.string()))
 
             return bindings_from_pairs(
                 eval_path_pairs(p[1], edges_of, nodes_of), s, o
@@ -335,23 +375,17 @@ class QueryService(AsOfReads):
             graph: a path inside GRAPH never crosses graphs, and every
             graph lives wholly in one partition."""
             gs, ps = format_term(gterm), format_pattern(pat)
+            actors = self.actors
             if gterm[0] == "iri":
                 # partition pruning: hash ownership puts the named graph
                 # in exactly one partition (same rule as graph_at)
                 from ..shuffle_utils import partition_ids
 
-                pid = int(partition_ids([gterm[1]], len(self.actors))[0])
-                return ray.get(
-                    self.actors[pid].graph_pattern_bindings.remote(ts, ps, gs)
-                )
-            parts = ray.get([
-                a.graph_pattern_bindings.remote(ts, ps, gs)
-                for a in self.actors
-            ])
-            cur = pd.concat(parts, ignore_index=True)
-            if len(cur.columns):
-                return _ddsafe(cur, ignore_index=True)
-            return cur.head(1)
+                actors = [actors[int(partition_ids([gterm[1]],
+                                                   len(actors))[0])]]
+            return _union([_land(p) for p in ray.get([
+                a.graph_pattern_bindings.remote(ts, ps, gs) for a in actors
+            ])])
 
         fg = group.get("from_graphs") or []
         fn = group.get("from_named") or []
@@ -360,9 +394,8 @@ class QueryService(AsOfReads):
             # union of the FROM graphs (each fetched partition-pruned),
             # GRAPH clauses only over the FROM NAMED list — mirrors
             # eval_bgp's dataset rules on the distributed path
-            def _empty(pat):
-                cols = sorted({v for k, v in pat if k == "var"})
-                return pd.DataFrame(columns=cols, dtype=object)
+            def _none(pat):
+                return _empty(sorted({v for k, v in pat if k == "var"}))
 
             def pattern_bindings(pat):  # noqa: F811
                 if pat[1][0] == "path":
@@ -371,26 +404,27 @@ class QueryService(AsOfReads):
                         "the distributed service (use DiffStoreReader)"
                     )
                 if not fg:  # only FROM NAMED: the default graph is empty
-                    return _empty(pat)
-                parts = [graph_pattern_in(pat, ("iri", g)) for g in fg]
-                cur = pd.concat(parts, ignore_index=True)
-                if len(cur.columns):
-                    return _ddsafe(cur, ignore_index=True)
-                return cur.head(1)
+                    return _none(pat)
+                return _union([graph_pattern_in(pat, ("iri", g))
+                               for g in fg])
 
             def graph_bindings(pat, gterm):
                 if gterm[0] == "iri":
                     if gterm[1] not in fn:
-                        return _empty(pat)
+                        return _none(pat)
                     return graph_pattern_in(pat, gterm)
                 out = graph_pattern_in(pat, gterm)
                 gvar = gterm[1]
-                if gvar in out.columns:
-                    out = out[out[gvar].isin(["I" + g for g in fn])]
-                return out.reset_index(drop=True)
+                if gvar in out.column_names:
+                    out = out.filter(pc.is_in(out[gvar], pa.array(
+                        ["I" + g for g in fn], pa.string())))
+                return out
 
         else:
             graph_bindings = graph_pattern_in
+            # the group's own patterns are all scanned: gather them in
+            # one round
+            gather([p for p in group["patterns"] if p[1][0] != "path"])
 
         res = eval_group(group, pattern_bindings, graph_bindings,
                          service_evaluator(endpoints))

@@ -373,6 +373,7 @@ def _solutions(group: dict, deltas, ts):
     """Evaluate a WHERE group against the quad view at ``ts`` → (tagged
     solution rows, Arrow quad table)."""
     from ..query.bgp import (
+        _frame,
         eval_group,
         eval_one_pattern,
         eval_pattern_in_graph,
@@ -383,7 +384,8 @@ def _solutions(group: dict, deltas, ts):
     # distinct, so a triple held by several graphs matches once
     source = lambda pat: eval_one_pattern(quads, pat)  # noqa: E731
     gsource = lambda pat, gt: eval_pattern_in_graph(quads, pat, gt)  # noqa: E731
-    return eval_group(group, source, gsource).to_dict("records"), quads
+    return _frame(eval_group(group, source, gsource)).to_dict("records"), \
+        quads
 
 
 def _template_quads(tmpl: dict, rows: list, quads: pa.Table) -> list:

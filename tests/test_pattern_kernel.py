@@ -6,7 +6,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from rdf_diff_store_ray.query.bgp import (eval_one_pattern,
+from rdf_diff_store_ray.query.bgp import (_frame, eval_one_pattern,
                                           eval_pattern_in_graph, parse_query)
 
 P, Q = "https://x/p", "https://x/q"
@@ -92,12 +92,12 @@ def _pat(text: str):
 def test_kernel_matches_naive_oracle(text):
     pat = _pat(text)
     got = eval_one_pattern(_triples(), pat)
-    pd.testing.assert_frame_equal(got, naive(_triples(), pat))
-    assert isinstance(got.index, pd.RangeIndex)
+    assert isinstance(got, pa.Table)
+    pd.testing.assert_frame_equal(_frame(got), naive(_triples(), pat))
 
 
 def test_kernel_keeps_nul_twins_and_term_kinds_apart():
-    got = eval_one_pattern(_triples(), _pat("?s ?p ?o"))
+    got = _frame(eval_one_pattern(_triples(), _pat("?s ?p ?o")))
     assert len(got) == 12  # 13 rows, one exact repeat
     assert {"La\x00b", "La\x00c"} <= set(got["o"])
     same = got[got["s"] == "Ihttps://x/same"]["o"].tolist()
@@ -108,27 +108,32 @@ def test_graph_var_shared_with_subject():
     """``GRAPH ?g { ?g ?p ?o }``: the graph id binds as an IRI and must
     equal the subject term."""
     pat = _pat("?g ?p ?o")
-    got = eval_pattern_in_graph(_quads(), pat, ("var", "g"))
+    got = _frame(eval_pattern_in_graph(_quads(), pat, ("var", "g")))
     want = naive(_quads(), pat, graph_var="g")
     pd.testing.assert_frame_equal(got, want)
     assert got["g"].tolist() == ["Ihttps://x/g"]
-    named = eval_pattern_in_graph(_quads(), _pat("?s ?p ?o"),
-                                  ("iri", "https://x/g\x00"))
+    named = _frame(eval_pattern_in_graph(_quads(), _pat("?s ?p ?o"),
+                                         ("iri", "https://x/g\x00")))
     assert named["s"].tolist() == ["Ihttps://x/a\x00b"]
 
 
 def test_negated_property_set_path():
     pat = _pat(f"?s !<{P}> ?o")
     got = eval_one_pattern(_triples(), pat)
+    assert isinstance(got, pa.Table)
     # the path's edges are the Q edges, tagged, first-appearance distinct
     want = naive(_triples(), (("var", "s"), ("iri", Q), ("var", "o")))
-    pd.testing.assert_frame_equal(got, want)
-    assert isinstance(got.index, pd.RangeIndex)
+    pd.testing.assert_frame_equal(_frame(got), want)
+
+
+TW = "https://x/tw"
 
 
 def _twin_store(tmp_path):
     """A 2-partition log whose perfbench-shape matches carry NUL-twin
-    IRIs and literals, in graphs spread over both partitions."""
+    IRIs and literals, in graphs spread over both partitions. The
+    ``TW`` triples put NUL-twin subjects and objects in both partitions,
+    so the router's gather order is not their byte order."""
     from perfbench.oracle_gate import ACQ, FOUNDED, HQ
 
     from rdf_diff_store_ray.shuffle_utils import partition_ids
@@ -148,29 +153,64 @@ def _twin_store(tmp_path):
         docs[right[i]] = (
             f"<https://x/buyer{i}> <{ACQ}> <{co}> .\n"
             f'<https://x/buyer{i}> <{HQ}> "{twin}" .\n')
+    both = '<https://x/both> <https://x/one> "x" .\n'  # both partitions
+    docs[left[2]] = (f'<https://x/t> <{TW}> "v\x00z" .\n'
+                     f'<https://x/t\x00b> <{TW}> "v\x00y" .\n' + both)
+    docs[right[2]] = (f'<https://x/t> <{TW}> "v\x00a" .\n'
+                      f'<https://x/t\x00a> <{TW}> "v\x00y" .\n' + both)
     append_graphs(store, docs, 1_700_000_000)
     return store
 
 
-def test_router_matches_reader_on_nul_twin_store(ray_session, tmp_path):
-    from perfbench.oracle_gate import QUERIES
-
+@pytest.fixture(scope="module")
+def twin(ray_session, tmp_path_factory):
+    """(reader, router) over one :func:`_twin_store`."""
     from rdf_diff_store_ray.query.bgp import DiffStoreReader
     from rdf_diff_store_ray.query.front import load_deltas
     from rdf_diff_store_ray.query.service import QueryService
 
-    store = _twin_store(tmp_path)
-    reader = DiffStoreReader(load_deltas(store))
+    store = _twin_store(tmp_path_factory.mktemp("twin"))
     svc = QueryService(store)
+    yield DiffStoreReader(load_deltas(store)), svc
+    svc.shutdown()
+
+
+def test_router_matches_reader_on_nul_twin_store(twin):
+    from perfbench.oracle_gate import QUERIES
+
+    reader, svc = twin
     ts = 1_700_000_001
-    try:
-        assert len(svc.actors) == 2
-        for name, q in QUERIES.items():
-            want = reader.query_at(ts, q)
-            assert len(want), name
-            pd.testing.assert_frame_equal(svc.query_at(ts, q), want)
-        path = reader.query_at(ts, QUERIES["q_path"])
-        assert sorted(path["c"]) == ["https://x/citya\x00b",
-                                     "https://x/citya\x00c"]
-    finally:
-        svc.shutdown()
+    assert len(svc.actors) == 2
+    for name, q in QUERIES.items():
+        want = reader.query_at(ts, q)
+        assert len(want), name
+        pd.testing.assert_frame_equal(svc.query_at(ts, q), want)
+    path = reader.query_at(ts, QUERIES["q_path"])
+    assert sorted(path["c"]) == ["https://x/citya\x00b",
+                                 "https://x/citya\x00c"]
+    # a variable-free match in both partitions is one empty solution
+    q = 'SELECT * WHERE { <https://x/both> <https://x/one> "x" }'
+    want = reader.query_at(ts, q)
+    assert want.shape == (1, 0)
+    pd.testing.assert_frame_equal(svc.query_at(ts, q), want)
+
+
+def test_nul_twin_answers_are_byte_sorted(twin):
+    """Rows whose terms differ only past a NUL sort by their full bytes
+    in a multi-column answer, under ORDER BY's tie-break and in a
+    CONSTRUCT, on the reader and the router alike (the router gathers
+    partition 0's rows before partition 1's)."""
+    reader, svc = twin
+    ts = 1_700_000_001
+    rows = sorted([("https://x/t", "v\x00z"), ("https://x/t\x00b", "v\x00y"),
+                   ("https://x/t", "v\x00a"), ("https://x/t\x00a", "v\x00y")])
+    want = pd.DataFrame(rows, columns=["s", "o"])
+    for q in (f"SELECT ?s ?o WHERE {{ ?s <{TW}> ?o }}",
+              f"SELECT ?s ?o WHERE {{ ?s <{TW}> ?o }} ORDER BY ?s"):
+        got = reader.query_at(ts, q)
+        pd.testing.assert_frame_equal(got, want)
+        pd.testing.assert_frame_equal(svc.query_at(ts, q), got)
+    q = f"CONSTRUCT {{ ?s <https://x/r> ?o }} WHERE {{ ?s <{TW}> ?o }}"
+    got = reader.query_at(ts, q)
+    assert list(zip(got["subj"], got["obj"])) == rows
+    pd.testing.assert_frame_equal(svc.query_at(ts, q), got)
