@@ -14,7 +14,9 @@ services does, as subcommands over the Parquet delta log.
     python -m rdf_diff_store_ray metadata --store /kg/deltas
 
 This module owns a Ray session (guarded — a driver that pre-initialised
-Ray keeps its session). Read paths print to stdout; logs go to stderr.
+Ray keeps its session); the commit subcommands (append, delete, update)
+run in this process and start none. Read paths print to stdout; logs go
+to stderr.
 """
 
 from __future__ import annotations
@@ -116,7 +118,6 @@ def cmd_init(args) -> int:
 
 
 def cmd_append(args) -> int:
-    _ensure_ray()
     from .state.append import append_graphs
 
     from .state.append import Graph
@@ -129,7 +130,6 @@ def cmd_append(args) -> int:
 
 
 def cmd_delete(args) -> int:
-    _ensure_ray()
     from .state.append import delete_graphs
 
     n = delete_graphs(args.store, [args.graph], args.ts)
@@ -138,7 +138,6 @@ def cmd_delete(args) -> int:
 
 
 def cmd_update(args) -> int:
-    _ensure_ray()
     from .state.update import sparql_update
 
     text = open(args.file).read() if args.file else (args.update or "")

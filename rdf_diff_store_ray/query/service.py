@@ -128,38 +128,34 @@ class PartitionReaderActor:
         reader.query_cache.put((k,) + key, out)
         return out
 
-    def pattern_bindings(self, ts, pattern_strs: list) -> list:
-        """TAGGED Arrow bindings of each pattern against this partition's
-        live triples (see :func:`_ship`) — the push-down unit of the
-        distributed multi-pattern path; one call carries every pattern
-        of a gather round."""
-        from .bgp import eval_one_pattern, parse_query
+    def pattern_bindings(self, ts, patterns: list) -> list:
+        """TAGGED Arrow bindings of each ``(key, pattern)`` against this
+        partition's live triples (see :func:`_ship`) — the push-down unit
+        of the distributed multi-pattern path; one call carries every
+        pattern of a gather round. The router ships each pattern parsed,
+        with its ``format_pattern`` text as the cache key (a path AST
+        holds lists, so the pattern itself is not hashable)."""
+        from .bgp import eval_one_pattern
 
-        def scan(pattern_str):
-            def run(k):
-                pat = parse_query(pattern_str)["patterns"][0]
-                return _ship(eval_one_pattern(self.reader._at(k, "store"),
-                                              pat))
-            return run
+        def scan(pat):
+            return lambda k: _ship(eval_one_pattern(
+                self.reader._at(k, "store"), pat))
 
-        return [self._cached(ts, (ps, "tagged"), scan(ps))
-                for ps in pattern_strs]
+        return [self._cached(ts, (key, "tagged"), scan(pat))
+                for key, pat in patterns]
 
-    def graph_pattern_bindings(self, ts, pattern_str: str,
-                               gterm_str: str):
-        """TAGGED bindings of one GRAPH-scoped pattern against this
-        partition's live QUADS. Per-partition-local for the same reason
-        plain patterns are: a graph's whole history lives in exactly one
-        partition, so graph-scoped matches never cross partitions."""
-        from .bgp import _parse_term, eval_pattern_in_graph, parse_query
+    def graph_pattern_bindings(self, ts, pattern, gterm):
+        """TAGGED bindings of one parsed GRAPH-scoped pattern against
+        this partition's live QUADS. Per-partition-local for the same
+        reason plain patterns are: a graph's whole history lives in
+        exactly one partition, so graph-scoped matches never cross
+        partitions."""
+        from .bgp import eval_pattern_in_graph, format_pattern, format_term
 
-        def scan(k):
-            pat = parse_query(pattern_str)["patterns"][0]
-            return eval_pattern_in_graph(self.reader._at(k, "quads"), pat,
-                                         _parse_term(gterm_str))
-
-        return self._cached(ts, (gterm_str, pattern_str, "graph"),
-                            lambda k: _ship(scan(k)))
+        return self._cached(
+            ts, (format_term(gterm), format_pattern(pattern), "graph"),
+            lambda k: _ship(eval_pattern_in_graph(
+                self.reader._at(k, "quads"), pattern, gterm)))
 
     def node_terms(self, ts) -> bytes:
         """Distinct tagged subject/object terms of this partition's live
@@ -302,7 +298,6 @@ class QueryService(AsOfReads):
             eval_path_pairs,
             finish_query,
             format_pattern,
-            format_term,
             service_evaluator,
         )
 
@@ -310,12 +305,13 @@ class QueryService(AsOfReads):
 
         def gather(pats):
             # one actor call per partition for the whole round
-            todo = [ps for ps in dict.fromkeys(map(format_pattern, pats))
+            todo = [(ps, pat) for ps, pat in
+                    dict(zip(map(format_pattern, pats), pats)).items()
                     if ps not in gathered]
             if todo:
                 parts = ray.get([a.pattern_bindings.remote(ts, todo)
                                  for a in self.actors])
-                for i, ps in enumerate(todo):
+                for i, (ps, _) in enumerate(todo):
                     gathered[ps] = _union([_land(p[i]) for p in parts])
 
         def gather_pattern(pat):
@@ -374,7 +370,6 @@ class QueryService(AsOfReads):
             are per-partition evaluable HERE, unlike in the default
             graph: a path inside GRAPH never crosses graphs, and every
             graph lives wholly in one partition."""
-            gs, ps = format_term(gterm), format_pattern(pat)
             actors = self.actors
             if gterm[0] == "iri":
                 # partition pruning: hash ownership puts the named graph
@@ -384,7 +379,8 @@ class QueryService(AsOfReads):
                 actors = [actors[int(partition_ids([gterm[1]],
                                                    len(actors))[0])]]
             return _union([_land(p) for p in ray.get([
-                a.graph_pattern_bindings.remote(ts, ps, gs) for a in actors
+                a.graph_pattern_bindings.remote(ts, pat, gterm)
+                for a in actors
             ])])
 
         fg = group.get("from_graphs") or []

@@ -35,7 +35,7 @@ Semantics mirrored from the reference, not its code:
   wall-clock time too, ``src/git.rs:151-161``).
 
 This is an application entry point like the CLI: it owns no Ray session
-(appends auto-init Ray Data when standalone) and the injectable
+(writes commit in this process and need none) and the injectable
 ``now_fn`` keeps wall-clock out of everything testable.
 """
 

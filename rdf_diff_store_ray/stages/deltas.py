@@ -69,11 +69,11 @@ def derive_partition_deltas(
     ``snapshot_times`` is the sorted global crawl grid (unix seconds).
 
     ``seed_latest`` (incremental builds): ``graph_id → (ts_seconds, op,
-    digest)`` from the partition's EXISTING log — live seeded graphs
-    start with their stored digest (so an unchanged re-crawl is
-    suppressed and absence tombstones them), and any derived delta that
-    would predate a seeded graph's latest version raises before the
-    caller writes anything."""
+    digest)`` from the partition's EXISTING log before the first
+    instant — live seeded graphs start with their stored digest (so an
+    unchanged re-crawl is suppressed and absence tombstones them). The
+    caller checks the derived rows against the partition's full history
+    (``append._check_monotone``) before it writes."""
     g = sort_values_nul_safe(group, ["graph_id", "warc_ts"],
                              ignore_index=True)
     # last row wins on same-second ties (documented tie-break): dedup to
@@ -109,13 +109,11 @@ def derive_partition_deltas(
     n_graphs = len(graphs)
     live = np.zeros(n_graphs, dtype=bool)
     prev = np.empty(n_graphs, dtype=object)  # previous live digest
-    seed_ts = np.full(n_graphs, np.iinfo(np.int64).min, dtype=np.int64)
     if seed_latest:
         for i, gname in enumerate(graphs):
             s = seed_latest.get(gname)
             if s is None:
                 continue
-            seed_ts[i] = int(s[0])
             if s[1] != OP_DELETE:
                 live[i] = True
                 prev[i] = s[2]
@@ -153,17 +151,6 @@ def derive_partition_deltas(
     gidx_out, ts_out, op_out, row_out = (
         gidx_out[order], ts_out[order], op_out[order], row_out[order]
     )
-    if seed_latest:
-        bad = np.flatnonzero(ts_out < seed_ts[gidx_out])
-        if len(bad):
-            b = bad[0]
-            raise ValueError(
-                f"incremental delta at ts={int(ts_out[b])} predates existing "
-                f"history ({int(seed_ts[gidx_out[b]])}) for graph "
-                f"{graphs[gidx_out[b]]!r} (+{len(bad) - 1} more) — the "
-                "version axis is monotone per graph (src/git.rs:208 analog); "
-                "nothing was written for this partition"
-            )
     is_upd = row_out >= 0
     text_out = np.where(is_upd, texts[np.maximum(row_out, 0)], "")
     dig_out = np.where(is_upd, digests[np.maximum(row_out, 0)], b"")

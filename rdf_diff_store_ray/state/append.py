@@ -14,15 +14,18 @@ Semantics reproduced:
   ``src/git.rs:208``): appends must not predate a graph's existing
   history — enforced, like the reference's monotone commit clock.
 
-Execution shape: the incoming batch is partitioned by the SAME
-``hash(graph_id) % P`` key as the build (P read from the log's _SUCCESS
-manifest); a read-only validation pass over the touched partitions runs
-FIRST (so a monotonicity violation raises before any bytes change — the
-atomicity the reference gets from its global write lock), then one task
-per touched partition writes ONLY its new rows as the next log segment
-(``deltas.seg-NNNNNN.parquet``; existing data files are never
-rewritten — O(delta) like the reference's git commit) and refreshes the
-partition manifest. Untouched partitions are never opened.
+Execution shape: one commit is one pass in the driver under the store's
+write lock. The batch is partitioned by the SAME ``hash(graph_id) % P``
+key as the build (P read from the log's _SUCCESS manifest); each touched
+partition is read once, every touched graph is validated against that
+read BEFORE any write (so a monotonicity violation raises with zero
+bytes changed — the atomicity the reference gets from its global write
+lock), and then each touched partition gets ONE new log segment holding
+only its new rows (``deltas.seg-NNNNNN.parquet``; existing data files are
+never rewritten — O(delta) like the reference's git commit) and a
+refreshed manifest. Untouched partitions are never opened, and a commit
+needs no Ray session: bulk ingest runs through ``build_incremental``'s
+Dataset sink (:func:`make_incremental_appender`) instead.
 
 **Concurrency contract**: writes are single-writer per STORE, enforced
 by :class:`StoreWriteLock` (an atomic lock file under the log root) —
@@ -142,74 +145,56 @@ def _latest_by_graph(table: pa.Table) -> dict:
                         latest["digest"].to_pylist())))
 
 
-class _PartitionAppender:
-    """One touched partition: merge new ops with the current table,
-    apply no-op suppression / tombstone rules, rewrite atomically."""
+def _secs(col) -> list:
+    """Unix seconds of a datetime column."""
+    return np.asarray(col, "datetime64[s]").astype("int64").tolist()
 
-    def __init__(self, delta_dir: str, ts: int, num_partitions: int):
-        self.delta_dir = delta_dir
-        self.ts = int(ts)
-        self.num_partitions = num_partitions
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        import time
+def _check_monotone(what: str, stamped, latest: dict, scope: str) -> None:
+    """Raise if any ``(graph_id, ts_seconds)`` of ``stamped`` predates
+    that graph's latest version in ``latest``
+    (:func:`_latest_by_graph`): the version axis is monotone per graph,
+    like the reference's commit clock (``src/git.rs:208``). Callers
+    check before they write, so the message can say nothing was."""
+    bad = [(gid, t, latest[gid][0]) for gid, t in stamped
+           if gid in latest and t < latest[gid][0]]
+    if bad:
+        gid, t, prev = bad[0]
+        raise ValueError(
+            f"{what} at ts={t} predates existing history ({prev}) for "
+            f"graph {gid!r} (+{len(bad) - 1} more) — the version axis is "
+            "monotone per graph (src/git.rs:208 analog); nothing was "
+            f"written{scope}"
+        )
 
-        t0 = time.monotonic()
-        pid = int(group["partition_id"].iloc[0])
-        current = _partition_table(self.delta_dir, pid)
-        latest = _latest_by_graph(current)
-        new_rows = []
-        applied = 0
-        for r in group.sort_values("graph_id").itertuples(index=False):
-            prev = latest.get(r.graph_id)
-            if prev is not None and self.ts < prev[0]:
-                # defense in depth: _apply pre-validates before any write
-                raise ValueError(
-                    f"append at ts={self.ts} predates existing history "
-                    f"({prev[0]}) for graph {r.graph_id!r} — the version "
-                    "axis is monotone per graph (src/git.rs:208 analog)"
-                )
-            if r.op == OP_UPDATE:
-                digest = sha256_text(r.delta_text)
-                live = prev is not None and prev[1] != OP_DELETE
-                if live and prev[2] == digest:
-                    continue  # no-op suppression (src/graphs.rs:52-61)
-                new_rows.append(
-                    (r.graph_id, self.ts, OP_UPDATE, r.delta_text, digest)
-                )
-            else:  # delete
-                live = prev is not None and prev[1] != OP_DELETE
-                if not live:
-                    continue  # deleting an absent graph is a no-op
-                new_rows.append((r.graph_id, self.ts, OP_DELETE, "", b""))
-            applied += 1
-        if new_rows:
-            seq_start = _max_seq(current) + 1  # replay order continues
-            add = pa.table(
-                {
-                    "graph_id": pa.array([r[0] for r in new_rows], pa.string()),
-                    "warc_ts": pa.array(
-                        pd.to_datetime([r[1] for r in new_rows], unit="s"),
-                        pa.timestamp("s"),
-                    ),
-                    "op": pa.array([r[2] for r in new_rows], pa.string()),
-                    "delta_text": pa.array(
-                        [r[3] for r in new_rows], pa.large_string()
-                    ),
-                    "digest": pa.array([r[4] for r in new_rows], pa.binary()),
-                    "partition_id": pa.array(
-                        np.full(len(new_rows), pid, dtype=np.int32), pa.int32()
-                    ),
-                    "seq": pa.array(
-                        seq_start + np.arange(len(new_rows), dtype=np.int64)
-                    ),
-                }
-            ).cast(DELTAS)
-            merged = pa.concat_tables([current, add]).cast(DELTAS)
-            deltas_mod.append_segment(
-                self.delta_dir, pid, add, merged, wall_s=time.monotonic() - t0
-            )
-        return pd.DataFrame({"partition_id": [pid], "applied": [applied]})
+
+_NEW_COLS = ("graph_id", "warc_ts", "op", "delta_text", "digest")
+
+
+def _append_rows(delta_dir: str, pid: int, current: pa.Table, new,
+                 t0: float) -> None:
+    """Write ``new`` (a non-empty mapping of :data:`_NEW_COLS` to
+    equal-length columns, ``warc_ts`` in unix seconds or datetimes) as
+    partition ``pid``'s next log segment, ``seq`` continuing the replay
+    order of ``current`` (the partition as read for this write)."""
+    import time
+
+    n = len(new["graph_id"])
+    add = pa.table(
+        {
+            "graph_id": pa.array(new["graph_id"], pa.string()),
+            "warc_ts": pa.array(np.asarray(new["warc_ts"], "datetime64[s]")),
+            "op": pa.array(new["op"], pa.string()),
+            "delta_text": pa.array(new["delta_text"], pa.large_string()),
+            "digest": pa.array(list(new["digest"]), pa.binary()),
+            "partition_id": pa.array(np.full(n, pid, dtype=np.int32)),
+            "seq": pa.array(_max_seq(current) + 1
+                            + np.arange(n, dtype=np.int64)),
+        }
+    ).cast(DELTAS)
+    merged = pa.concat_tables([current, add]).cast(DELTAS)
+    deltas_mod.append_segment(delta_dir, pid, add, merged,
+                              wall_s=time.monotonic() - t0)
 
 
 class LogLockedError(RuntimeError):
@@ -326,61 +311,72 @@ class StoreWriteLock:
         return False
 
 
-def _apply(delta_dir: str, rows: pa.Table, ts: int) -> int:
-    with StoreWriteLock(delta_dir):
-        return _apply_locked(delta_dir, rows, ts)
+def commit(delta_dir: str, graphs: dict, deleted, ts: int) -> int:
+    """One commit at unix-seconds ``ts``: upsert ``graphs`` (as
+    :func:`append_graphs`) and tombstone ``deleted`` (as
+    :func:`delete_graphs`) all-or-nothing, under one write lock. A graph
+    may not be in both. Returns the number of deltas written."""
+    delta_dir = fs.local(delta_dir)
 
-
-def _apply_locked(delta_dir: str, rows: pa.Table, ts: int) -> int:
-    import ray.data as rd
-
-    num_partitions = _log_num_partitions(delta_dir)
-    pids = partition_ids(rows["graph_id"], num_partitions)
-    rows = rows.append_column("partition_id", pa.array(pids, pa.int32()))
-    ts = int(ts)
-
-    # Read-only validation over the touched partitions BEFORE any write:
-    # a multi-graph append either applies entirely or raises with zero
-    # bytes changed (the atomicity the reference's global write lock
-    # provides; partial application would otherwise be unrecoverable).
-    def check_monotone(group: pd.DataFrame) -> pd.DataFrame:
-        pid = int(group["partition_id"].iloc[0])
-        latest = _latest_by_graph(_partition_table(delta_dir, pid))
-        bad_g, bad_t = [], []
-        for gid in group["graph_id"]:
-            prev = latest.get(gid)
-            if prev is not None and ts < prev[0]:
-                bad_g.append(gid)
-                bad_t.append(prev[0])
-        return pd.DataFrame({"graph_id": bad_g, "prev_ts": bad_t})
-
-    violations = (
-        rd.from_arrow(rows)
-        .groupby("partition_id")
-        .map_groups(check_monotone, batch_format="pandas")
-        .take_all()
-    )
-    if violations:
-        v = violations[0]
+    deleted = sorted(set(deleted))
+    both = sorted(set(deleted).intersection(graphs))
+    if both:
         raise ValueError(
-            f"append at ts={ts} predates existing history "
-            f"({v['prev_ts']}) for graph {v['graph_id']!r} "
-            f"(+{len(violations) - 1} more) — the version axis is "
-            "monotone per graph (src/git.rs:208 analog); nothing was written"
-        )
+            f"graphs both upserted and deleted in one commit: {both!r}")
+    ops = []
+    for gid, g in sorted(graphs.items()):
+        if isinstance(g, Graph):
+            text = serialize(_graph_triples(g.graph, g.format))
+        elif isinstance(g, str):
+            text = serialize(_graph_triples(g, None))
+        else:
+            text = serialize(g)
+        ops.append((gid, OP_UPDATE, text))
+    ops += [(gid, OP_DELETE, "") for gid in deleted]
+    with StoreWriteLock(delta_dir):
+        return _apply_locked(delta_dir, ops, int(ts))
 
-    appender = _PartitionAppender(delta_dir, ts, num_partitions)
 
-    def append_partition(group: pd.DataFrame) -> pd.DataFrame:
-        return appender(group)
+def _apply_locked(delta_dir: str, ops: list, ts: int) -> int:
+    """Apply ``ops`` (``(graph_id, op, canonical text)`` in commit
+    order) at ``ts``: read each touched partition once, validate every
+    op against that read, then write one segment per partition that
+    changes."""
+    import time
 
-    res = (
-        rd.from_arrow(rows)
-        .groupby("partition_id")
-        .map_groups(append_partition, batch_format="pandas")
-        .take_all()
-    )
-    return int(sum(r["applied"] for r in res))
+    t0 = time.monotonic()
+    pids = partition_ids([gid for gid, _, _ in ops],
+                         _log_num_partitions(delta_dir))
+    by_pid: dict = {}
+    for pid, op in zip(pids.tolist(), ops):
+        by_pid.setdefault(pid, []).append(op)
+    current = {pid: _partition_table(delta_dir, pid) for pid in sorted(by_pid)}
+    latest: dict = {}  # a graph lives in one partition: no key collides
+    for table in current.values():
+        latest.update(_latest_by_graph(table))
+    # validate every op before any write: a commit applies entirely or
+    # raises with zero bytes changed (partial application would be
+    # unrecoverable)
+    _check_monotone("append", ((gid, ts) for gid, _, _ in ops), latest, "")
+    applied = 0
+    for pid, table in current.items():
+        new = []
+        for gid, op, text in by_pid[pid]:
+            prev = latest.get(gid)
+            live = prev is not None and prev[1] != OP_DELETE
+            if op == OP_DELETE:
+                if live:  # deleting an absent graph is a no-op
+                    new.append((gid, ts, OP_DELETE, "", b""))
+                continue
+            digest = sha256_text(text)
+            if not (live and prev[2] == digest):
+                # otherwise a no-op: suppressed (src/graphs.rs:52-61)
+                new.append((gid, ts, OP_UPDATE, text, digest))
+        if new:
+            _append_rows(delta_dir, pid, table,
+                         dict(zip(_NEW_COLS, zip(*new))), t0)
+            applied += len(new)
+    return applied
 
 
 def append_graphs(delta_dir: str, graphs: dict, ts: int) -> int:
@@ -401,25 +397,7 @@ def append_graphs(delta_dir: str, graphs: dict, ts: int) -> int:
     stored as that typed literal (see ``ntriples.format_line``). Pass
     such values through document text (where they arrive escaped) if the
     plain reading is intended."""
-    delta_dir = fs.local(delta_dir)
-
-    ids, texts = [], []
-    for gid, g in sorted(graphs.items()):
-        ids.append(gid)
-        if isinstance(g, Graph):
-            texts.append(serialize(_graph_triples(g.graph, g.format)))
-        elif isinstance(g, str):
-            texts.append(serialize(_graph_triples(g, None)))
-        else:
-            texts.append(serialize(g))
-    rows = pa.table(
-        {
-            "graph_id": pa.array(ids, pa.string()),
-            "op": pa.array([OP_UPDATE] * len(ids), pa.string()),
-            "delta_text": pa.array(texts, pa.large_string()),
-        }
-    )
-    return _apply(delta_dir, rows, ts)
+    return commit(delta_dir, graphs, (), ts)
 
 
 _SEED_MARKER = "\x00__partition_seed__"
@@ -485,69 +463,20 @@ def make_incremental_appender(delta_dir: str, snapshot_times):
         if len(deltas) and current.num_rows > pre.num_rows:
             # drop rows a previous run of this batch already appended
             cur = current.to_pandas()
-            cur_ts = (
-                cur["warc_ts"].to_numpy().astype("datetime64[s]")
-                .astype("int64")
-            )
-            cur_keys = set(
-                zip(cur["graph_id"], cur_ts.tolist(), cur["op"], cur["digest"])
-            )
-            ts_s = (
-                deltas["warc_ts"].to_numpy().astype("datetime64[s]")
-                .astype("int64")
-            )
-            keep = [
-                (gid, int(t), op, dig) not in cur_keys
-                for gid, t, op, dig in zip(
-                    deltas["graph_id"], ts_s, deltas["op"], deltas["digest"]
-                )
-            ]
+            cur_keys = set(zip(cur["graph_id"], _secs(cur["warc_ts"]),
+                               cur["op"], cur["digest"]))
+            keep = [key not in cur_keys for key in zip(
+                deltas["graph_id"], _secs(deltas["warc_ts"]), deltas["op"],
+                deltas["digest"])]
             deltas = deltas[keep].reset_index(drop=True)
         if len(deltas):
             # genuinely new rows must not predate any graph's CURRENT
             # latest version (e.g. an API append stamped after the batch)
-            latest_all = _latest_by_graph(current)
-            ts_s = (
-                deltas["warc_ts"].to_numpy().astype("datetime64[s]")
-                .astype("int64")
-            )
-            for gid, t in zip(deltas["graph_id"], ts_s):
-                prevrow = latest_all.get(gid)
-                if prevrow is not None and int(t) < prevrow[0]:
-                    raise ValueError(
-                        f"incremental delta at ts={int(t)} predates existing "
-                        f"history ({prevrow[0]}) for graph {gid!r} — the "
-                        "version axis is monotone per graph (src/git.rs:208 "
-                        "analog); nothing was written for this partition"
-                    )
-        applied = len(deltas)
-        if applied:
-            seq_start = _max_seq(current) + 1
-            add = pa.table(
-                {
-                    "graph_id": pa.array(deltas["graph_id"], pa.string()),
-                    "warc_ts": pa.Array.from_pandas(
-                        deltas["warc_ts"], type=pa.timestamp("s")
-                    ),
-                    "op": pa.array(deltas["op"], pa.string()),
-                    "delta_text": pa.array(
-                        deltas["delta_text"], pa.large_string()
-                    ),
-                    "digest": pa.array(list(deltas["digest"]), pa.binary()),
-                    "partition_id": pa.array(
-                        np.full(applied, pid, dtype=np.int32), pa.int32()
-                    ),
-                    "seq": pa.array(
-                        seq_start + np.arange(applied, dtype=np.int64)
-                    ),
-                }
-            ).cast(DELTAS)
-            merged = pa.concat_tables([current, add]).cast(DELTAS)
-            deltas_mod.append_segment(
-                delta_dir, pid, add, merged,
-                wall_s=time.monotonic() - t0,
-            )
-        return pd.DataFrame({"partition_id": [pid], "applied": [applied]})
+            _check_monotone("incremental delta",
+                            zip(deltas["graph_id"], _secs(deltas["warc_ts"])),
+                            _latest_by_graph(current), " for this partition")
+            _append_rows(delta_dir, pid, current, deltas, t0)
+        return pd.DataFrame({"partition_id": [pid], "applied": [len(deltas)]})
 
     return append_incremental_partition
 
@@ -699,14 +628,4 @@ def _truncate_locked(delta_dir: str, before_ts: int) -> int:
 def delete_graphs(delta_dir: str, graph_ids, ts: int) -> int:
     """Tombstone each currently-live graph at ``ts``; absent graphs are
     no-ops. Returns the number of tombstones written."""
-    delta_dir = fs.local(delta_dir)
-
-    ids = sorted(set(graph_ids))
-    rows = pa.table(
-        {
-            "graph_id": pa.array(ids, pa.string()),
-            "op": pa.array([OP_DELETE] * len(ids), pa.string()),
-            "delta_text": pa.array([""] * len(ids), pa.large_string()),
-        }
-    )
-    return _apply(delta_dir, rows, ts)
+    return commit(delta_dir, {}, graph_ids, ts)

@@ -50,7 +50,7 @@ import pyarrow.dataset as pads
 
 from .. import ntriples
 from . import reconstruct
-from .append import append_graphs, delete_graphs
+from .append import append_graphs, commit, delete_graphs
 
 _DATA_RE = re.compile(r"(INSERT|DELETE)\s+DATA\s*\{", re.IGNORECASE)
 _WHERE_RE = re.compile(r"DELETE\s+WHERE\s*\{", re.IGNORECASE)
@@ -450,10 +450,10 @@ def _load_document(doc_iri: str) -> list:
 
 
 def _graph_management(store: str, u: dict, deltas, ts: int) -> dict:
-    """Apply CREATE / COPY / MOVE / ADD / LOAD. All mutation goes
-    through :func:`append_graphs` / :func:`delete_graphs`, so digest
-    no-op suppression applies (e.g. COPY onto an identical target
-    writes nothing)."""
+    """Apply CREATE / COPY / MOVE / ADD / LOAD, each as one commit
+    (:func:`.append.commit`), so digest no-op suppression applies (e.g.
+    COPY onto an identical target writes nothing) and MOVE's upsert and
+    tombstone apply together or not at all."""
     form, silent = u["form"], u.get("silent", False)
     live = reconstruct.state_at_table(deltas, ts)
     cur_text = dict(zip(live["graph_id"].to_pylist(),
@@ -505,11 +505,10 @@ def _graph_management(store: str, u: dict, deltas, ts: int) -> dict:
     new = dst_set | src_set if form == "add_graph" else src_set
     added = len(new) - len(dst_set & new)
     removed = len(dst_set) - len(dst_set & new)
-    graphs = 0
-    if new != dst_set or dst not in cur_text:
-        graphs += append_graphs(store, {dst: sorted(new)}, ts)
-    if form == "move_graph":
-        graphs += delete_graphs(store, [src], ts)
+    upsert = ({dst: sorted(new)} if new != dst_set or dst not in cur_text
+              else {})
+    moved = [src] if form == "move_graph" else []
+    graphs = commit(store, upsert, moved, ts) if upsert or moved else 0
     return {"form": form, "graphs": graphs, "added": added,
             "removed": removed}
 

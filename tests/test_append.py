@@ -157,19 +157,100 @@ def test_append_canonicalizes_string_input(store, ray_session):
     assert append_graphs(store, {"g": reordered}, T2) == 0  # suppressed
 
 
+def _data_files(delta_dir):
+    return sorted(glob.glob(os.path.join(delta_dir, "partition=*", "*")))
+
+
 def test_failed_append_writes_nothing(store, ray_session):
     """A multi-graph append with one monotonicity violation raises BEFORE
-    any partition is touched — no partial application."""
+    any partition is touched — no partial application, also when the
+    valid graphs sit in other partitions that come first and the
+    violation is in the partition processed last."""
+    from rdf_diff_store_ray.shuffle_utils import partition_ids
     from rdf_diff_store_ray.state.append import append_graphs
-    from rdf_diff_store_ray.state.reconstruct import state_at_table
 
+    fresh = ["fresh-5", "fresh", "fresh-0"]
+    assert partition_ids(fresh + ["old"], 4).tolist() == [0, 1, 2, 3]
     append_graphs(store, {"old": G_A}, T2)
-    before = _delta_table(store)
+    before, files = _delta_table(store), _data_files(store)
     with pytest.raises(Exception, match="predates"):
-        # "fresh" alone would be valid; "old" at T1 < T2 is not
-        append_graphs(store, {"fresh": G_B, "old": G_A2}, T1)
+        # the "fresh" graphs alone would be valid; "old" at T1 < T2 is not
+        append_graphs(store, {**{g: G_B for g in fresh}, "old": G_A2}, T1)
     after = _delta_table(store)
     assert after.equals(before)
+    assert _data_files(store) == files
+
+
+def test_commit_reads_each_touched_partition_once(store, monkeypatch):
+    """Validation and apply share one read of each touched partition
+    under the write lock: a commit over several partitions reads each of
+    them exactly once and never opens an untouched one."""
+    from rdf_diff_store_ray.shuffle_utils import partition_ids
+    from rdf_diff_store_ray.state import append as append_mod
+
+    ids = ["fresh", "fresh-0", "old"]
+    touched = sorted(set(partition_ids(ids, 4).tolist()))
+    assert len(touched) == 3
+    reads = []
+    real = append_mod._partition_table
+
+    def counting(delta_dir, pid):
+        reads.append(pid)
+        return real(delta_dir, pid)
+
+    monkeypatch.setattr(append_mod, "_partition_table", counting)
+    assert append_mod.append_graphs(store, {g: G_A for g in ids}, T1) == 3
+    assert sorted(reads) == touched
+    reads.clear()
+    assert append_mod.delete_graphs(store, ids, T2) == 3
+    assert sorted(reads) == touched
+
+
+def test_commit_path_runs_no_ray_data_job(store, monkeypatch):
+    """append_graphs, delete_graphs and sparql_update commit in the
+    calling process: none of them starts a Ray Data job."""
+    import ray.data
+
+    from rdf_diff_store_ray.state.append import append_graphs, delete_graphs
+    from rdf_diff_store_ray.state.reconstruct import state_at_table
+    from rdf_diff_store_ray.state.update import sparql_update
+
+    def no_job(*_a, **_k):
+        raise AssertionError("a commit started a Ray Data job")
+
+    monkeypatch.setattr(ray.data, "from_arrow", no_job)
+    assert append_graphs(store, {"g1": G_A, "g2": G_B}, T1) == 2
+    assert delete_graphs(store, ["g1"], T2) == 1
+    res = sparql_update(store, "MOVE <g2> TO <g3>", T3)
+    assert res["graphs"] == 2
+    live = state_at_table(_delta_table(store), T3)
+    assert live["graph_id"].to_pylist() == ["g3"]
+
+
+def test_cli_commits_import_no_ray(store):
+    """The CLI's append, delete and update subcommands need no Ray
+    session: a process that runs all three never imports ray."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from rdf_diff_store_ray.__main__ import main\n"
+        f"s = {store!r}\n"
+        f"main(['append', '--store', s, '--graph', 'g', '--ts', '{T1}',"
+        f" '--text', {G_A!r}])\n"
+        f"main(['update', '--store', s, '--ts', '{T2}',"
+        " 'MOVE <g> TO <h>'])\n"
+        f"main(['delete', '--store', s, '--graph', 'h', '--ts', '{T3}'])\n"
+        "assert 'ray' not in sys.modules, 'ray was imported'\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, cwd=os.path.dirname(os.path.dirname(
+                             os.path.abspath(__file__))))
+    assert out.returncode == 0, out.stderr
+    assert [line.split(":")[0] for line in out.stdout.splitlines()] == [
+        '{"applied"', '{"form"', '{"applied"']
+    assert _delta_table(store).num_rows == 4
 
 
 def test_append_turtle_format(store, ray_session):

@@ -376,6 +376,26 @@ def test_copy_move_add_graphs(store):
     assert res["form"] == "move_graph" and res["graphs"] == 2
 
 
+def test_move_is_one_commit(store):
+    """MOVE's destination upsert and source tombstone are one commit: when
+    the source has a version after the MOVE's instant, the MOVE raises
+    and writes nothing, so the destination does not appear either."""
+    from rdf_diff_store_ray.state.append import append_graphs
+    from rdf_diff_store_ray.state.reconstruct import state_at_table
+    from rdf_diff_store_ray.state.update import sparql_update
+
+    src, dst = "https://g/src", "https://g/dst"
+    append_graphs(store, {src: '<https://x/a> <https://x/p> "0" .\n'}, T1)
+    append_graphs(store, {src: '<https://x/a> <https://x/p> "2" .\n'}, T3)
+    before = _delta_table(store)
+    with pytest.raises(ValueError, match="predates existing history"):
+        sparql_update(store, f"MOVE <{src}> TO <{dst}>", T2)
+    after = _delta_table(store)
+    assert after.equals(before)
+    live = state_at_table(after, T2)["graph_id"].to_pylist()
+    assert src in live and dst not in live
+
+
 def test_graph_management_errors(store):
     from rdf_diff_store_ray.state.update import parse_update, sparql_update
 
