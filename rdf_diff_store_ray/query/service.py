@@ -188,7 +188,12 @@ class PartitionReaderActor:
         blame never crosses partitions)."""
         from ..state.blame import blame_table
 
-        return blame_table(self.reader.deltas, ts)
+        return blame_table(self.reader.versions, ts)
+
+    def diff(self, ts1, ts2) -> pa.Table:
+        """This partition's share of the store diff between ``ts1`` and
+        ``ts2`` (a graph's whole history lives in one partition)."""
+        return reconstruct.diff_table(self.reader.versions, ts1, ts2)
 
     def metadata(self):
         return self.reader.metadata()
@@ -499,6 +504,18 @@ class QueryService(AsOfReads):
             ray.get([a.blame_at.remote(ts) for a in self.actors]))
         return t.take(pc.sort_indices(t, sort_keys=[
             ("graph_id", "ascending"), ("line", "ascending")])).to_pandas()
+
+    def diff(self, ts1, ts2) -> pd.DataFrame:
+        """Distributed :meth:`..query.bgp.DiffStoreReader.diff`: every
+        partition actor diffs its own graphs, the router concatenates —
+        the ownership argument of :meth:`blame_at`. Sorted
+        (graph_id, change, line)."""
+        k1, k2 = ts_key(ts1), ts_key(ts2)
+        t = pa.concat_tables(
+            ray.get([a.diff.remote(k1, k2) for a in self.actors]))
+        return t.take(pc.sort_indices(t, sort_keys=[
+            (c, "ascending") for c in ("graph_id", "change", "line")
+        ])).to_pandas()
 
     def metadata(self):
         metas = [m for m in ray.get([a.metadata.remote() for a in self.actors])

@@ -17,29 +17,23 @@ Semantics:
   so it breaks every line's run (delete + re-add re-blames all lines).
 - Graphs whose latest op at ``ts`` is ``delete`` are absent.
 
-:func:`blame_table` is one more kernel over the lines primitive of
-:mod:`.reconstruct`: it explodes every version row ``<= ts`` with the
-same :func:`.reconstruct.explode_lines` and sorts with Arrow, which
-compares full bytes (NUL-distinct graph ids stay distinct). The
-distributed :func:`blame` runs it per partition through the shared
-Dataset driver :func:`.reconstruct.per_partition`.
+:func:`blame_table` is one more kernel over the prepared table of
+:mod:`.reconstruct` (:class:`.reconstruct.Versions`): the versions
+``<= ts`` are a prefix of each graph's sorted run, their lines are ids
+into the one line dictionary (sorted bytewise, so NUL-distinct lines
+stay distinct), and the runs are found with integer sorts — no per-read
+explode of the log. The distributed :func:`blame` runs it per
+partition through the shared Dataset driver
+:func:`.reconstruct.per_partition`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..schemas import OP_DELETE, ensure_seq
 from . import reconstruct
-
-
-def _starts(a: np.ndarray) -> np.ndarray:
-    """True where ``a[i]`` differs from ``a[i - 1]`` (and at ``i = 0``)."""
-    out = np.ones(len(a), bool)
-    out[1:] = a[1:] != a[:-1]
-    return out
+from .reconstruct import _starts
 
 
 def _ends(starts: np.ndarray) -> np.ndarray:
@@ -47,46 +41,41 @@ def _ends(starts: np.ndarray) -> np.ndarray:
     return np.r_[starts[1:], True][:len(starts)]
 
 
-def blame_table(deltas: pa.Table, ts) -> pa.Table:
+def blame_table(deltas, ts) -> pa.Table:
     """``(graph_id, line, since_ts)`` per canonical line live at ``ts``,
     sorted by ``(graph_id, line)``. Canonical text is sorted + deduped so
     a (graph, line, version) triple is unique — line-level runs equal
-    triple-level runs with no parsing."""
-    t = ensure_seq(deltas)
-    t = t.filter(pc.less_equal(t["warc_ts"].cast(pa.timestamp("s")),
-                               reconstruct._ts_scalar(ts)))
-    t = t.take(pc.sort_indices(t, sort_keys=[
-        ("graph_id", "ascending"), ("warc_ts", "ascending"),
-        ("seq", "ascending")]))
-    gid = t["graph_id"].to_numpy(zero_copy_only=False)
-    starts = _starts(gid)
+    triple-level runs with no parsing. ``deltas`` is a delta table or
+    one prepared by :func:`.reconstruct.prepare`."""
+    v = reconstruct.prepare(deltas)
+    # the versions <= ts: a prefix of each graph's run of versions
+    pos = np.flatnonzero(v.sec <= reconstruct._instant(ts))
+    starts = v.first[pos]
     graph = np.cumsum(starts) - 1  # row -> its graph's run
-    vrank = np.arange(len(gid)) - np.flatnonzero(starts)[graph]
+    vrank = np.arange(len(pos)) - np.flatnonzero(starts)[graph]
     last = np.flatnonzero(_ends(starts))
-    live = t["op"].to_numpy(zero_copy_only=False)[last] != OP_DELETE
-    t = t.append_column("vrank", pa.array(vrank, pa.int64()))
-    t = t.append_column("last_rank", pa.array(vrank[last][graph], pa.int64()))
-    ex = reconstruct.explode_lines(
-        t.filter(pa.array(live[graph], pa.bool_())),
-        ("graph_id", "warc_ts", "vrank", "last_rank"))
-    ex = ex.take(pc.sort_indices(ex, sort_keys=[
-        ("graph_id", "ascending"), ("line", "ascending"),
-        ("vrank", "ascending")]))
-
-    g = ex["graph_id"].to_numpy(zero_copy_only=False)
-    line = ex["line"].to_numpy(zero_copy_only=False)
-    vr = ex["vrank"].to_numpy()
+    last_rank = vrank[last][graph]
+    keep = v.kept[pos][last][graph]  # the graph is live at ts
+    pos, graph = pos[keep], graph[keep]
+    vrank, last_rank = vrank[keep], last_rank[keep]
+    parent, line = v.lines_of(v.rows["delta_text"].take(pos))
+    g, vr, lr = graph[parent], vrank[parent], last_rank[parent]
+    # graph runs follow graph_id order and line ids the lines' bytewise
+    # order, so this is the (graph_id, line, version) order
+    order = np.lexsort((vr, line, g))
+    g, line, vr, lr = g[order], line[order], vr[order], lr[order]
+    row = pos[parent[order]]
     # a run breaks when the (graph, line) key changes OR the line skipped
     # a version rank (absent from some intermediate version, incl. deletes)
     brk = _starts(g) | _starts(line) | _starts(vr - np.arange(len(vr)))
     run = np.cumsum(brk) - 1
     # a run is live when its last version is its graph's last version
-    live_run = (vr == ex["last_rank"].to_numpy())[_ends(brk)]
-    out = ex.filter(pa.array(brk & live_run[run], pa.bool_()))
+    live_run = (vr == lr)[_ends(brk)]
+    sel = np.flatnonzero(brk & live_run[run])
     return pa.table({
-        "graph_id": out["graph_id"].cast(pa.string()),
-        "line": out["line"].cast(pa.string()),
-        "since_ts": out["warc_ts"].cast(pa.timestamp("s")),
+        "graph_id": v.rows["graph_id"].take(row[sel]).cast(pa.string()),
+        "line": v.lines.take(line[sel]).cast(pa.string()),
+        "since_ts": pa.array(v.sec[row[sel]], pa.timestamp("s")),
     })
 
 

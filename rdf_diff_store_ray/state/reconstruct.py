@@ -16,19 +16,42 @@ Semantics (reference parity):
 One primitive: every read form derives from the live graphs' canonical
 N-Triples LINES. Canonical text is sorted and deduped
 (:mod:`..ntriples`), so line-level set algebra equals triple-level set
-algebra. One Arrow exploder (:func:`explode_lines`) produces the lines;
-Arrow hashes and sorts full bytes, so NUL-bearing graph ids and
-literals are safe by construction, with no per-site guard.
+algebra.
 
-- ``graphs_at_table``: the sorted distinct live lines
-  (:func:`union_document`) — no parse, no re-serialization, so each
-  graph keeps its own blank-node labels;
-- ``triples_at_table``: one ``ntriples.parse`` over the distinct lines;
-- ``quads_at_table``: one ``ntriples.parse`` over the live lines, with
-  their graph ids;
+One prepare step (:func:`prepare`, :class:`Versions`), built once per
+delta table, turns the log into version intervals ("An Interval-centric
+Model for Distributed Computing over Temporal Graphs", ICDE 2020):
+
+- the rows sorted by ``(graph_id, warc_ts, seq)`` — the order of
+  :func:`latest_rows` — each valid over ``[sec, t_to)``, where ``sec``
+  is its floored second and ``t_to`` the second of its graph's next
+  version (open for the last). Same-second replays get empty intervals
+  ``[s, s)``, so the last write of a second wins with no special case;
+- on the first read that needs lines, the distinct version texts, each
+  exploded once into ids of ONE bytewise-sorted dictionary of distinct
+  lines (:func:`explode_lines`);
+- on the first read that needs triples, that dictionary parsed by ONE
+  ``ntriples.parse`` call, with its lines' order as triples.
+
+An as-of read is then one mask, ``sec <= k < t_to and op != delete``
+(:meth:`Versions.live`, behind :func:`state_at_table`), plus takes from
+the dictionary — no per-read sort, explode or parse. Arrow hashes and
+sorts full bytes, so NUL-bearing graph ids and literals are safe by
+construction, with no per-site guard. Every kernel accepts a raw delta
+table (prepared on entry, as :func:`..schemas.ensure_seq` normalizes a
+seq-less table) or a prepared :class:`Versions`:
+
+- ``state_at_table``: the live rows, in ``graph_id`` order;
+- ``graphs_at_table``: the live lines of the dictionary, in its order —
+  no parse, no re-serialization, so each graph keeps its own blank-node
+  labels;
+- ``triples_at_table``: the live lines' triples, sorted;
+- ``quads_at_table``: each live graph's triples with its graph id, in
+  graph then line order;
 - ``diff_table``: unchanged graphs skipped by digest, then a set
-  difference on ``(graph_id, line)``;
-- ``blame_table`` (:mod:`.blame`): the lines of every version ``<= ts``.
+  difference on ``(graph_id, line id)``;
+- ``blame_table`` (:mod:`.blame`): the line ids of every version
+  ``<= ts``.
 
 Two drivers run the kernels:
 
@@ -52,7 +75,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import ntriples
-from ..schemas import OP_DELETE
+from ..schemas import OP_DELETE, ensure_seq
 
 # bounded shuffle width of the Dataset path: graph cardinality is
 # corpus-scale, so one map_groups per graph would pay Ray's per-group
@@ -119,15 +142,109 @@ def prune_log_files(files, ts) -> list:
 
 
 # ---------------------------------------------------------------- kernels
-def state_at_table(deltas: pa.Table, ts) -> pa.Table:
-    """Live (graph_id, warc_ts, delta_text, digest) rows at ``ts``."""
-    from ..schemas import ensure_seq
+_VERSION_ORDER = [("graph_id", "ascending"), ("warc_ts", "ascending"),
+                  ("seq", "ascending")]
+_OPEN = np.iinfo(np.int64).max  # t_to of a graph's last version
+_UNIT_PER_S = {"s": 1, "ms": 10**3, "us": 10**6, "ns": 10**9}
 
-    t = _ts_scalar(ts)
-    deltas = ensure_seq(deltas)  # legacy seq-less tables: row order
-    flt = deltas.filter(pc.less_equal(deltas["warc_ts"].cast(pa.timestamp("s")), t))
-    latest = latest_rows(flt)
-    return latest.filter(pc.not_equal(latest["op"], OP_DELETE))
+
+def _instant(ts) -> int:
+    """``ts`` as whole unix seconds (:func:`_ts_scalar`'s conversion)."""
+    return _ts_scalar(ts).value
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """True where ``a[i]`` differs from ``a[i - 1]`` (and at ``i = 0``)."""
+    out = np.ones(len(a), bool)
+    out[1:] = a[1:] != a[:-1]
+    return out
+
+
+class Versions:
+    """A delta table prepared for as-of reads (see the module doc): its
+    rows in ``(graph_id, warc_ts, seq)`` order, each valid over
+    ``[sec, t_to)``, and — built on the first read that needs lines —
+    the dictionary of every version's lines and its one parse."""
+
+    def __init__(self, deltas: pa.Table):
+        rows = ensure_seq(deltas)  # legacy seq-less tables: row order
+        if rows.num_rows:
+            rows = rows.take(pc.sort_indices(rows, sort_keys=_VERSION_ORDER))
+        self.rows = rows
+        ts = rows["warc_ts"]
+        self.sec = ts.cast(pa.int64()).to_numpy() // _UNIT_PER_S[ts.type.unit]
+        # True at each graph's first version
+        self.first = _starts(rows["graph_id"].to_numpy(zero_copy_only=False))
+        self.t_to = np.full(rows.num_rows, _OPEN)
+        same = ~self.first[1:]
+        self.t_to[:-1][same] = self.sec[1:][same]
+        self.kept = rows["op"].to_numpy(zero_copy_only=False) != OP_DELETE
+        # built on first use, without a lock (the library's classes are
+        # pickled by value into Ray workers, and a lock does not pickle):
+        # two threads racing here only repeat the work
+        self._dictionary = self._triples = None
+
+    def live(self, k: int) -> np.ndarray:
+        """The one as-of mask: the versions valid at ``k`` and not a
+        delete, at most one per graph."""
+        return (self.sec <= k) & (k < self.t_to) & self.kept
+
+    @property
+    def dictionary(self) -> tuple:
+        """``(texts, lines, text_lines)``: the distinct version texts,
+        the distinct lines of all of them sorted bytewise, and per text
+        the ids of its lines into ``lines``, in text order."""
+        if self._dictionary is None:
+            texts = pc.unique(self.rows["delta_text"])
+            ex = explode_lines(pa.table({
+                "delta_text": texts,
+                "text": pa.array(np.arange(len(texts)), pa.int64())}),
+                ["text"])
+            uniq = pc.unique(ex["line"])
+            lines = uniq.take(pc.sort_indices(uniq))
+            counts = np.bincount(ex["text"].to_numpy(), minlength=len(texts))
+            self._dictionary = texts, lines, pa.LargeListArray.from_arrays(
+                pa.array(np.r_[0, np.cumsum(counts)], pa.int64()),
+                pc.index_in(ex["line"], value_set=lines).combine_chunks())
+        return self._dictionary
+
+    @property
+    def lines(self) -> pa.Array:
+        return self.dictionary[1]
+
+    def lines_of(self, texts) -> "tuple[np.ndarray, np.ndarray]":
+        """``(parent, ids)``: one entry per line of each of ``texts``
+        (version texts of this table) in order — the index of its text
+        and its id into :attr:`lines`."""
+        known, _, text_lines = self.dictionary
+        per = text_lines.take(pc.index_in(texts, value_set=known))
+        return (pc.list_parent_indices(per).to_numpy(),
+                pc.list_flatten(per).to_numpy())
+
+    @property
+    def triples(self) -> tuple:
+        """``(parsed, order)``: the triples of :attr:`lines` in line
+        order, from one ``ntriples.parse`` call, and the line ids in
+        triple order."""
+        if self._triples is None:
+            parsed = pa.table(_parse_lines(self.lines))
+            self._triples = parsed, pc.sort_indices(parsed, sort_keys=[
+                (name, "ascending") for name, _ in _TRIPLE]).to_numpy()
+        return self._triples
+
+
+def prepare(deltas) -> Versions:
+    """``deltas`` prepared for as-of reads; a prepared table as is. The
+    test is on the Arrow type: a Ray worker may hold two copies of this
+    module's classes (the library is pickled by value into it)."""
+    return Versions(deltas) if isinstance(deltas, pa.Table) else deltas
+
+
+def state_at_table(deltas, ts) -> pa.Table:
+    """Live (graph_id, warc_ts, delta_text, digest) rows at ``ts``, in
+    ``graph_id`` order."""
+    v = prepare(deltas)
+    return v.rows.filter(pa.array(v.live(_instant(ts))))
 
 
 def latest_rows(table: pa.Table) -> pa.Table:
@@ -163,12 +280,16 @@ def union_document(texts) -> str:
     """The canonical document of the union of canonical documents
     ``texts``: their distinct lines sorted bytewise, joined with
     ``"\n"`` plus a trailing ``"\n"`` (``""`` if there are none). The
-    one merge of ``graphs_at`` — over a store's live graphs here, over
-    the partition actors' documents on the router."""
+    one merge of the partition actors' documents on the router; a
+    store's own ``graphs_at`` is the same document from its line
+    dictionary."""
     lines = pc.unique(explode_lines(pa.table({"delta_text": texts}), ())["line"])
-    if len(lines) == 0:
-        return ""
-    return _joined(lines.take(pc.sort_indices(lines))) + "\n"
+    return _document(lines.take(pc.sort_indices(lines)))
+
+
+def _document(lines) -> str:
+    """Sorted distinct ``lines`` as a canonical document."""
+    return _joined(lines) + "\n" if len(lines) else ""
 
 
 def _joined(lines) -> str:
@@ -194,57 +315,73 @@ def _parse_lines(lines) -> dict:
     return {name: pa.array(col, typ) for (name, typ), col in zip(_TRIPLE, cols)}
 
 
-def graphs_at_table(deltas: pa.Table, ts) -> str:
+def _live_line_mask(v: Versions, ts) -> np.ndarray:
+    """Which of ``v``'s lines some graph live at ``ts`` holds."""
+    _, ids = v.lines_of(state_at_table(v, ts)["delta_text"])
+    mask = np.zeros(len(v.lines), bool)
+    mask[ids] = True
+    return mask
+
+
+def graphs_at_table(deltas, ts) -> str:
     """Merged canonical N-Triples document at ``ts``."""
-    return union_document(state_at_table(deltas, ts)["delta_text"])
+    v = prepare(deltas)
+    return _document(v.lines.filter(pa.array(_live_line_mask(v, ts))))
 
 
-def triples_at_table(deltas: pa.Table, ts) -> pa.Table:
-    """Distinct (subj, pred, obj, obj_is_literal) live at ``ts``."""
-    live = explode_lines(state_at_table(deltas, ts), ())
-    t = pa.table(_parse_lines(pc.unique(live["line"])))
-    return t.take(pc.sort_indices(
-        t, sort_keys=[(name, "ascending") for name, _ in _TRIPLE]))
+def triples_at_table(deltas, ts) -> pa.Table:
+    """Distinct (subj, pred, obj, obj_is_literal) live at ``ts``, sorted."""
+    v = prepare(deltas)
+    mask = _live_line_mask(v, ts)
+    parsed, order = v.triples
+    return parsed.take(order[mask[order]])
 
 
-def quads_at_table(deltas: pa.Table, ts) -> pa.Table:
+def quads_at_table(deltas, ts) -> pa.Table:
     """(graph_id, subj, pred, obj, obj_is_literal) live at ``ts``, one
     row per line of each live graph — the quad view that scopes ``GRAPH``
     clauses. The engine's named graphs are the reference's
     one-graph-per-source-id model (``src/git.rs:110-120``), so the graph
     term of a quad is the graph id itself."""
-    live = explode_lines(state_at_table(deltas, ts), ["graph_id"])
-    return pa.table({"graph_id": live["graph_id"],
-                     **_parse_lines(live["line"])})
+    v = prepare(deltas)
+    live = state_at_table(v, ts)
+    parent, ids = v.lines_of(live["delta_text"])
+    return v.triples[0].take(ids).add_column(
+        0, "graph_id", live["graph_id"].take(parent))
 
 
-def _changed_lines(a: pa.Table, b: pa.Table) -> pa.Table:
-    """(graph_id, line) of ``a``'s live graphs whose content differs in
-    ``b`` — the stored digest skips unchanged graphs unexploded."""
+def _changed_lines(v: Versions, a: pa.Table, b: pa.Table) -> pa.Table:
+    """(graph_id, line id) of ``a``'s live graphs whose content differs
+    in ``b`` — the stored digest skips unchanged graphs unexploded."""
     changed = a.join(b.select(["graph_id", "digest"]), ["graph_id", "digest"],
                      join_type="left anti")
-    return explode_lines(changed, ["graph_id"])
+    parent, ids = v.lines_of(changed["delta_text"])
+    return pa.table({"graph_id": changed["graph_id"].take(parent),
+                     "line": ids})
 
 
-def diff_table(deltas: pa.Table, ts1, ts2) -> pa.Table:
+def diff_table(deltas, ts1, ts2) -> pa.Table:
     """Triples added/removed between the store states at ``ts1`` and
     ``ts2`` — the diff-store's namesake operation. The reference keeps
     exactly this as its storage format (one git commit per graph change,
     ``src/git.rs:151-190``); here it is recovered from the delta log by
-    resolving both as-of states and set-differencing canonical lines.
+    resolving both as-of states and set-differencing their line ids.
     Returns ``(graph_id, change ∈ {added, removed}, line)`` sorted."""
-    live1, live2 = state_at_table(deltas, ts1), state_at_table(deltas, ts2)
-    old, new = _changed_lines(live1, live2), _changed_lines(live2, live1)
+    v = prepare(deltas)
+    live1, live2 = state_at_table(v, ts1), state_at_table(v, ts2)
+    old, new = _changed_lines(v, live1, live2), _changed_lines(v, live2, live1)
     keys = ["graph_id", "line"]
     out = pa.concat_tables([
         pa.table({"graph_id": d["graph_id"],
                   "change": pa.repeat(change, d.num_rows),
-                  "line": d["line"].cast(pa.string())})
+                  "line": d["line"]})
         for x, y, change in ((old, new, "removed"), (new, old, "added"))
         for d in [x.join(y, keys, join_type="left anti")]
     ])
-    return out.take(pc.sort_indices(
+    # line ids follow the bytewise order of the lines
+    out = out.take(pc.sort_indices(
         out, sort_keys=[(c, "ascending") for c in out.column_names]))
+    return out.set_column(2, "line", v.lines.take(out["line"]).cast(pa.string()))
 
 
 def metadata_table(deltas: pa.Table):

@@ -98,6 +98,22 @@ def test_float_unix_seconds_read_the_same_instant(service, single_reader):
             assert backend.graph_at(graph_id, t) == text
 
 
+def test_diff_matches_single_reader(service, single_reader):
+    """The router's diff (each actor diffs its own graphs) equals the
+    single reader's, for forward, reversed, equal and pre-history
+    instant pairs."""
+    secs = sorted({int(pd.Timestamp(t).timestamp()) for t in
+                   single_reader.deltas["warc_ts"].to_pylist()})
+    lo, mid, hi = secs[0], secs[len(secs) // 2], secs[-1]
+    pairs = [(lo, hi), (mid, hi + 5), (hi, lo), (mid, mid), (lo - 10, mid),
+             (hi, lo - 10)]
+    for ts1, ts2 in pairs:
+        want = single_reader.diff(ts1, ts2)
+        pd.testing.assert_frame_equal(service.diff(ts1, ts2), want)
+    assert len(single_reader.diff(lo, hi)) and \
+        not len(single_reader.diff(mid, mid))
+
+
 def test_point_lookup_partition_pruned(service, single_reader, built):
     from rdf_diff_store_ray.state.reconstruct import state_at_table
 

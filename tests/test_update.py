@@ -190,7 +190,8 @@ def test_update_cli(store):
         ["python", "-m", "rdf_diff_store_ray", "update",
          "--store", store, "--ts", str(T2),
          'INSERT DATA { GRAPH <https://g/3> { <https://x/n> <https://x/p> "7" } }'],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     assert out.returncode == 0, out.stderr
     res = json.loads(out.stdout.strip().splitlines()[-1])
