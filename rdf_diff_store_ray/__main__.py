@@ -41,26 +41,6 @@ def _ensure_ray() -> None:
     DataContext.get_current().enable_progress_bars = False
 
 
-def _delta_table(store: str, upto_ts=None):
-    """Load the store's delta log; with ``upto_ts`` (an as-of read),
-    footer-stat pruning skips log files whose every row postdates the
-    target instant — one file is always kept so the schema survives a
-    pre-history timestamp."""
-    import glob
-    import os
-
-    import pyarrow.dataset as pads
-
-    files = sorted(glob.glob(os.path.join(store, "partition=*", "*.parquet")))
-    if not files:
-        raise SystemExit(f"no delta partitions under {store!r}")
-    if upto_ts is not None:
-        from .state.reconstruct import prune_log_files
-
-        files = prune_log_files(files, upto_ts) or files[:1]
-    return pads.dataset(files).to_table()
-
-
 def cmd_build(args) -> int:
     _ensure_ray()
     from .pipelines.build import build
@@ -422,8 +402,9 @@ def cmd_graphs_at(args) -> int:
         print(json.dumps({"out": args.out, "lines": n}))
         return 0
     from .query.bgp import DiffStoreReader
+    from .stages.deltas import read_log
 
-    reader = DiffStoreReader(_delta_table(args.store, upto_ts=args.ts))
+    reader = DiffStoreReader(read_log(args.store, upto_ts=args.ts))
     text = reader.graphs_at(args.ts)
     if args.turtle:
         from .ntriples import parse
@@ -440,6 +421,7 @@ def _parse_services(pairs) -> dict:
     ``iri=http(s)://...`` value registers a live server instead (wire
     federation via the SPARQL protocol)."""
     from .query.bgp import DiffStoreReader
+    from .stages.deltas import read_log
 
     out = {}
     for kv in pairs or []:
@@ -447,14 +429,15 @@ def _parse_services(pairs) -> dict:
             raise SystemExit(f"--service needs iri=path, got {kv!r}")
         iri, path = kv.split("=", 1)
         out[iri] = (path if path.startswith(("http://", "https://"))
-                    else DiffStoreReader(_delta_table(path)))
+                    else DiffStoreReader(read_log(path)))
     return out
 
 
 def cmd_query(args) -> int:
     from .query.bgp import DiffStoreReader
+    from .stages.deltas import read_log
 
-    reader = DiffStoreReader(_delta_table(args.store, upto_ts=args.ts),
+    reader = DiffStoreReader(read_log(args.store, upto_ts=args.ts),
                              services=_parse_services(args.service))
     body, _ = reader.answer(args.ts, args.bgp, args.format)
     print(body, end="" if args.format != "json" else "\n")
@@ -502,10 +485,11 @@ def cmd_serve(args) -> int:
 def cmd_diff(args) -> int:
     """Added/removed triples between two store versions (the diff-store's
     namesake op) as JSON lines: {"graph_id", "change", "line"}."""
+    from .stages.deltas import read_log
     from .state.reconstruct import diff_table
 
     out = diff_table(
-        _delta_table(args.store, upto_ts=max(args.ts1, args.ts2)),
+        read_log(args.store, upto_ts=max(args.ts1, args.ts2)),
         args.ts1, args.ts2,
     )
     for r in out.to_pylist():
@@ -527,9 +511,10 @@ def cmd_blame(args) -> int:
     {"graph_id", "line", "since": unix seconds}."""
     import pandas as pd
 
+    from .stages.deltas import read_log
     from .state.blame import blame_table
 
-    out = blame_table(_delta_table(args.store, upto_ts=args.ts), args.ts)
+    out = blame_table(read_log(args.store, upto_ts=args.ts), args.ts)
     for r in out.to_pylist():
         print(json.dumps({
             "graph_id": r["graph_id"], "line": r["line"],
@@ -541,9 +526,10 @@ def cmd_blame(args) -> int:
 def cmd_metadata(args) -> int:
     import pandas as pd
 
+    from .stages.deltas import read_log
     from .state.reconstruct import metadata_table
 
-    lo, hi = metadata_table(_delta_table(args.store))
+    lo, hi = metadata_table(read_log(args.store))
     out = {
         "start_time": None if lo is None else int(pd.Timestamp(lo).timestamp()),
         "end_time": None if hi is None else int(pd.Timestamp(hi).timestamp()),

@@ -136,15 +136,12 @@ def record_build_manifests(registry: MetricsRegistry, delta_dir: str) -> None:
     per-partition write walls → repo_commit_time envelope, row/graph
     counts → counters. Worker-side timings travel via the manifests (the
     data path), not a shared registry."""
-    import glob
-    import json
-    import os
+    from .stages import deltas
 
-    for mpath in sorted(
-        glob.glob(os.path.join(delta_dir, "partition=*", "manifest.json"))
-    ):
-        with open(mpath) as f:
-            m = json.load(f)
+    for pid in deltas.partitions(delta_dir):
+        m = deltas.read_manifest(delta_dir, pid)
+        if m is None:
+            continue
         registry.observe("repo_commit_time", float(m.get("wall_s", 0.0)),
                          "Delta partition write times", BUCKETS_FAST)
         registry.counter_inc("delta_rows_total", by=int(m.get("rows", 0)))

@@ -84,31 +84,11 @@ class BuildResult:
     def triples_dir(self) -> str:
         return os.path.join(self.out_dir, "triples")
 
-    def delta_files(self, upto_ts=None) -> list:
-        """All log files, or — with ``upto_ts`` — only those that can
-        contribute to the state at that instant (footer-stat pruning;
-        see :func:`state.reconstruct.prune_log_files`). At least one
-        file is always returned so downstream readers keep the delta
-        schema even when ``upto_ts`` predates the whole history (the
-        in-stream ``warc_ts <= ts`` filter then yields zero rows)."""
-        import glob
-
-        files = sorted(
-            glob.glob(os.path.join(self.delta_dir, "partition=*", "*.parquet"))
-        )
-        if upto_ts is None or not files:
-            return files
-        from ..state.reconstruct import prune_log_files
-
-        return prune_log_files(files, upto_ts) or files[:1]
-
     def delta_table(self) -> pa.Table:
-        import pyarrow.dataset as pads
-
-        return pads.dataset(self.delta_files()).to_table()
+        return deltas_mod.read_log(self.delta_dir)
 
     def delta_dataset(self, upto_ts=None):
-        return rd.read_parquet(self.delta_files(upto_ts))
+        return deltas_mod.read_log_dataset(self.delta_dir, upto_ts)
 
 
 def _snapshot_times(raw_ds) -> list:

@@ -2338,11 +2338,7 @@ def kg_incremental_build(sf_dir: str):
     log row-for-row (graph, ts, op, digest, text) against the one-shot
     full build. Cached beside the kg build; the comparison re-runs every
     call."""
-    import glob as _glob
     import json
-
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
 
     from ..corpus import EPOCH, SNAPSHOT_STEP
     from .build import build, build_incremental
@@ -2390,11 +2386,7 @@ def kg_incremental_build(sf_dir: str):
         scalars per store, nothing row-scale reaches the driver."""
         import hashlib
 
-        import ray.data as rd
-
-        files = sorted(
-            _glob.glob(os.path.join(delta_dir, "partition=*", "*.parquet"))
-        )
+        from ..stages.deltas import read_log_dataset
 
         def partial(batch: pa.Table) -> pa.Table:
             ts = batch["warc_ts"].cast(pa.timestamp("s")).to_pylist()
@@ -2414,7 +2406,7 @@ def kg_incremental_build(sf_dir: str):
                  "n": pa.array([batch.num_rows], pa.int64())}
             )
 
-        rows = rd.read_parquet(files).map_batches(
+        rows = read_log_dataset(delta_dir).map_batches(
             partial, batch_format="pyarrow"
         ).take_all()
         return (sum(r["n"] for r in rows),
@@ -2543,14 +2535,9 @@ def kg_bgp_typed(sf_dir: str):
         },
         1_700_000_000,
     )
-    import glob
+    from ..stages.deltas import read_log
 
-    import pyarrow.dataset as pads
-
-    dt = pads.dataset(
-        sorted(glob.glob(os.path.join(store, "partition=*", "*.parquet")))
-    ).to_table()
-    reader = DiffStoreReader(dt)
+    reader = DiffStoreReader(read_log(store))
     out = reader.query_at(
         1_700_000_001,
         "?s <https://p/size> ?n . ?s <https://p/label> ?l . FILTER(?n >= 10)",
@@ -3145,12 +3132,10 @@ def kg_sync(sf_dir: str):
     append, re-sync incrementally, compact, re-sync with deletion —
     digesting replica state and transfer accounting at each step so the
     consolidated entry pins the whole fetch protocol."""
-    import glob as _glob
     import hashlib
     import tempfile
 
-    import pyarrow.dataset as pads
-
+    from ..stages.deltas import read_log
     from ..state.append import append_graphs, compact_log, init_log
     from ..state.reconstruct import state_at_table
     from ..state.sync import sync_store
@@ -3158,9 +3143,7 @@ def kg_sync(sf_dir: str):
     t1, t2, t3 = 1_700_000_000, 1_700_000_100, 1_700_000_200
 
     def replica_digest(d, ts):
-        files = sorted(
-            _glob.glob(os.path.join(d, "partition=*", "*.parquet")))
-        live = state_at_table(pads.dataset(files).to_table(), ts)
+        live = state_at_table(read_log(d), ts)
         payload = "\n".join(sorted(
             f"{g}\t{t}" for g, t in zip(live["graph_id"].to_pylist(),
                                         live["delta_text"].to_pylist())
@@ -3539,13 +3522,10 @@ def kg_incremental_append(sf_dir: str):
     """The reference's writer semantics as library calls: copy the built
     log, upsert (new + no-op + changed) and delete, report deltas written
     and resulting live-state sizes."""
-    import glob as _glob
     import shutil
     import tempfile
 
-    import pyarrow.dataset as pads
-    import ray.data as rd
-
+    from ..stages.deltas import partitions, read_log, read_log_dataset
     from ..state.append import append_graphs, delete_graphs
     from ..state.reconstruct import state_at, state_at_table
 
@@ -3558,12 +3538,8 @@ def kg_incremental_append(sf_dir: str):
     # (bounded driver read; scan partitions until one has a live graph);
     # live-state counts use the distributed path
     existing_gid = existing_text = None
-    for part in sorted(_glob.glob(os.path.join(delta_dir, "partition=*"))):
-        live_p = state_at_table(
-            pads.dataset(sorted(_glob.glob(os.path.join(part, "*.parquet"))))
-            .to_table(),
-            hi_s,
-        )
+    for pid in partitions(delta_dir):
+        live_p = state_at_table(read_log(delta_dir, [pid]), hi_s)
         if live_p.num_rows:
             existing_gid = sorted(live_p["graph_id"].to_pylist())[0]
             existing_text = live_p.filter(
@@ -3573,18 +3549,13 @@ def kg_incremental_append(sf_dir: str):
     if existing_gid is None:
         raise ValueError(f"no live graphs at ts={hi_s} under {delta_dir!r}")
 
-    def log_ds():
-        return rd.read_parquet(sorted(_glob.glob(
-            os.path.join(delta_dir, "partition=*", "*.parquet")
-        )))
-
-    live_before = state_at(log_ds(), hi_s).count()
+    live_before = state_at(read_log_dataset(delta_dir), hi_s).count()
     n1 = append_graphs(delta_dir, {
         "https://new.example/added": '<https://x/n> <https://x/p> "v" .\n',
         existing_gid: existing_text,  # byte-identical → suppressed
     }, hi_s + 60)
     n2 = delete_graphs(delta_dir, [existing_gid], hi_s + 120)
-    live_after = state_at(log_ds(), hi_s + 121).count()
+    live_after = state_at(read_log_dataset(delta_dir), hi_s + 121).count()
     return pa.table(
         {
             "deltas_written_on_append": pa.array([n1], pa.int64()),
@@ -3655,7 +3626,8 @@ def kg_sparql_update(sf_dir: str):
     import tempfile
 
     from ..query.bgp import DiffStoreReader
-    from ..state.update import _store_table, sparql_update
+    from ..stages.deltas import read_log
+    from ..state.update import sparql_update
 
     res = kg_build_for(sf_dir)
     delta_dir = os.path.join(
@@ -3694,7 +3666,7 @@ def kg_sparql_update(sf_dir: str):
     rows = []
     for i, (name, upd) in enumerate(steps, 1):
         summary = sparql_update(delta_dir, upd, hi_s + 10 * i)
-        reader = DiffStoreReader(_store_table(delta_dir))
+        reader = DiffStoreReader(read_log(delta_dir))
         live = reader.query_at(
             hi_s + 10 * i,
             "SELECT ?g ?s ?p ?o WHERE { GRAPH ?g { ?s ?p ?o } . "

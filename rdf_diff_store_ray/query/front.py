@@ -12,7 +12,9 @@ here, once, so the doors cannot drift apart:
 - the NOW slot (``NOW()`` = the as-of instant, not the wall clock);
 - cache-level reporting and metrics (``cache_requests_total`` +
   ``query_processing_time``, the reference's ``src/metrics``);
-- SERVICE endpoint resolution;
+- SERVICE endpoint resolution (a registered store directory or URI is
+  opened by :func:`..stages.deltas.read_log`, the one reader of the
+  log's files);
 - the result formats (SPARQL JSON / CSV / TSV and the engine-to-engine
   tagged wire).
 
@@ -61,20 +63,6 @@ def _is_url(v) -> bool:
 
 def _bare_root(url: str) -> bool:
     return urlparse(url).path in ("", "/")
-
-
-def load_deltas(delta_dir: str):
-    """The whole delta log under ``delta_dir`` as one Arrow table."""
-    import glob
-    import os
-
-    import pyarrow.dataset as pads
-
-    files = sorted(glob.glob(os.path.join(delta_dir, "partition=*",
-                                          "*.parquet")))
-    if not files:
-        raise FileNotFoundError(f"no delta partitions under {delta_dir!r}")
-    return pads.dataset(files).to_table()
 
 
 class AsOfReads:
@@ -133,6 +121,7 @@ class AsOfReads:
         ``/api/sparql/{k}``; a registered explicit path, or an
         unregistered http(s) IRI, is queried verbatim — that endpoint's
         latest state. None when the IRI is unknown."""
+        from ..stages.deltas import read_log
         from .bgp import DiffStoreReader
 
         ep = self.services.get(iri)
@@ -142,7 +131,7 @@ class AsOfReads:
             return f"{ep.rstrip('/')}/api/sparql/{k}" if _bare_root(ep) \
                 else ep
         if isinstance(ep, str):
-            ep = self.services[iri] = DiffStoreReader(load_deltas(ep))
+            ep = self.services[iri] = DiffStoreReader(read_log(ep))
         return ep._at(k, "store")
 
     def _wire_latest(self, iris) -> bool:

@@ -1,5 +1,6 @@
 """Distributed query serving: one cached reader ACTOR per delta-log
-partition + a driver-side router that merges partial results.
+partition, addressed by its pid, + a driver-side router that merges
+partial results.
 
 This is the cluster-scale form of :class:`..query.bgp.DiffStoreReader`
 (which holds a whole small log in one process) and the engine analog of
@@ -16,8 +17,13 @@ form it materializes itself is the merged document.
 
 Correctness of the merge relies on the build's partitioning invariant:
 the delta log is hash-partitioned by ``graph_id``, so every graph's full
-version history lives in exactly one partition. State-at-ts, graph text
-and BGP matching are therefore per-partition-local:
+version history lives in exactly one partition. The router starts one
+actor per partition that has a directory (:func:`..stages.deltas.partitions`;
+a build writes none for a partition no graph hashes to) and finds a
+graph's owner by the commit's rule, ``hash(graph_id) % P`` with P from
+the log (:func:`..stages.deltas.num_partitions`) — by pid, never by an
+actor's position. State-at-ts, graph text and BGP matching are therefore
+per-partition-local:
 
 - ``graphs_at``: union of per-partition canonical N-Triples documents =
   sorted-unique merge of their lines (set-union semantics of the
@@ -53,7 +59,6 @@ the instant was materialized, else ``Nothing``.
 
 from __future__ import annotations
 
-import glob
 import os
 
 import pandas as pd
@@ -61,6 +66,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from .. import fs
+from ..shuffle_utils import partition_ids
+from ..stages import deltas
 from ..state import reconstruct
 from .bgp import (DiffStoreReader, _distinct_sorted, _first_rows, _frame,
                   _table, _unit)
@@ -98,12 +106,11 @@ def _union(tables: list) -> pa.Table:
 
 @ray.remote
 class PartitionReaderActor:
-    """One delta-log partition, loaded once, served with warm caches."""
+    """Delta-log partition ``pid``, loaded once, served with warm
+    caches."""
 
-    def __init__(self, parquet_paths: list):
-        import pyarrow.dataset as pads
-
-        self.reader = DiffStoreReader(pads.dataset(parquet_paths).to_table())
+    def __init__(self, delta_dir: str, pid: int):
+        self.reader = DiffStoreReader(deltas.read_log(delta_dir, [pid]))
 
     def query_at(self, ts, query: str) -> pd.DataFrame:
         return self.reader.query_at(ts, query)
@@ -233,18 +240,23 @@ class QueryService(AsOfReads):
 
     def __init__(self, delta_dir: str, services: "dict | None" = None):
         super().__init__(services)
-        self.partition_dirs = sorted(
-            d for d in glob.glob(os.path.join(delta_dir, "partition=*"))
-            if os.path.isdir(d)
-        )
-        if not self.partition_dirs:
+        # resolved here: an actor need not share the router's
+        # environment (a mocks3:// store's backing directory)
+        delta_dir = fs.local(delta_dir)
+        pids = deltas.partitions(delta_dir)
+        if not pids:
             raise ValueError(f"no delta partitions under {delta_dir!r}")
-        self.actors = [
-            PartitionReaderActor.remote(
-                sorted(glob.glob(os.path.join(d, "*.parquet")))
-            )
-            for d in self.partition_dirs
-        ]
+        self.num_partitions = deltas.num_partitions(delta_dir)
+        self.actors = [PartitionReaderActor.remote(delta_dir, pid)
+                       for pid in pids]
+        self._actor_of = dict(zip(pids, self.actors))
+
+    def _owners(self, graph_id: str) -> list:
+        """The actor of the partition that owns ``graph_id`` by the
+        commit's rule, ``hash(graph_id) % P``, as a list: empty when that
+        partition has no directory, so holds no graph."""
+        pid = int(partition_ids([graph_id], self.num_partitions)[0])
+        return [self._actor_of[pid]] if pid in self._actor_of else []
 
     # defined on the class itself, not only inherited: the traced
     # benchmark patches QueryService.__dict__ (perfbench/tracing.py)
@@ -307,6 +319,9 @@ class QueryService(AsOfReads):
         )
 
         gathered: dict = {}
+
+        def _none(pat):
+            return _empty(sorted({v for k, v in pat if k == "var"}))
 
         def gather(pats):
             # one actor call per partition for the whole round
@@ -375,14 +390,12 @@ class QueryService(AsOfReads):
             are per-partition evaluable HERE, unlike in the default
             graph: a path inside GRAPH never crosses graphs, and every
             graph lives wholly in one partition."""
-            actors = self.actors
-            if gterm[0] == "iri":
-                # partition pruning: hash ownership puts the named graph
-                # in exactly one partition (same rule as graph_at)
-                from ..shuffle_utils import partition_ids
-
-                actors = [actors[int(partition_ids([gterm[1]],
-                                                   len(actors))[0])]]
+            # partition pruning: hash ownership puts a named graph in
+            # exactly one partition (same rule as graph_at)
+            actors = self._owners(gterm[1]) if gterm[0] == "iri" \
+                else self.actors
+            if not actors:
+                return _none(pat)
             return _union([_land(p) for p in ray.get([
                 a.graph_pattern_bindings.remote(ts, pat, gterm)
                 for a in actors
@@ -395,9 +408,6 @@ class QueryService(AsOfReads):
             # union of the FROM graphs (each fetched partition-pruned),
             # GRAPH clauses only over the FROM NAMED list — mirrors
             # eval_bgp's dataset rules on the distributed path
-            def _none(pat):
-                return _empty(sorted({v for k, v in pat if k == "var"}))
-
             def pattern_bindings(pat):  # noqa: F811
                 if pat[1][0] == "path":
                     raise ValueError(
@@ -439,10 +449,9 @@ class QueryService(AsOfReads):
         this graph — only that partition is touched (the per-graph
         point-read of ``store_graph``'s equality check,
         ``src/graphs.rs:52-58``, served without scanning the store)."""
-        from ..shuffle_utils import partition_ids
-
-        pid = int(partition_ids([graph_id], len(self.actors))[0])
-        return ray.get(self.actors[pid].graph_at.remote(graph_id, ts))
+        owners = self._owners(graph_id)
+        return ray.get(owners[0].graph_at.remote(graph_id, ts)) \
+            if owners else None
 
     def graphs_at_to(self, ts, out_path: str, work_dir: str | None = None
                      ) -> int:

@@ -34,6 +34,11 @@ Semantics mirrored from the reference, not its code:
   clients; absent, the server clock is used (the reference commits at
   wall-clock time too, ``src/git.rs:151-161``).
 
+The store may be a path or a ``file://``/``mocks3://`` URI: every
+(re)load opens the log through :func:`.stages.deltas.read_log` (or, with
+``distributed=True``, the router's per-pid actors), the same door the
+writes go through.
+
 This is an application entry point like the CLI: it owns no Ray session
 (writes commit in this process and need none) and the injectable
 ``now_fn`` keeps wall-clock out of everything testable.
@@ -68,7 +73,7 @@ class StoreBackend:
     the delta log, dropped after every successful write. The reader is
     the in-process :class:`..query.bgp.DiffStoreReader`, or with
     ``distributed=True`` a :class:`..query.service.QueryService` — one
-    partition-reader actor per delta partition, so the HTTP process never
+    partition-reader actor per partition pid, so the HTTP process never
     holds the store (the 100× role split: this process is the
     reference's thin actix layer, the actors its repo pool of 32
     readers, ``src/bin/rdf-query-cache.rs:137,170``). Both answer
@@ -113,9 +118,9 @@ class StoreBackend:
             return self._reader
 
     def _load(self):
-        from .query.front import load_deltas
+        from .stages.deltas import read_log
 
-        return load_deltas(self.delta_dir)
+        return read_log(self.delta_dir)
 
     # ------------------------------------------------------------- reads
     def graphs_at(self, ts: int, graph_id: str | None) -> tuple[str, str]:

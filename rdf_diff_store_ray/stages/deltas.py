@@ -40,10 +40,12 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..ntriples import sha256_bytes
 from ..schemas import DELTAS, OP_DELETE, OP_UPDATE
 from .. import fs
+from ..state.reconstruct import _ts_scalar
 from ..shuffle_utils import (
     drop_duplicates_nul_safe,
     partition_ids,
@@ -215,6 +217,132 @@ def segment_files(out_dir: str, pid: int) -> list:
     return sorted(glob.glob(os.path.join(pdir, "deltas*.parquet")))
 
 
+def segment_count(out_dir: str, pid: int) -> int:
+    """How many append segments partition ``pid`` has beside its base."""
+    return sum(os.path.basename(f) != "deltas.parquet"
+               for f in segment_files(out_dir, pid))
+
+
+def partitions(delta_dir: str) -> list:
+    """The pids of the partitions that have a directory, ascending. A
+    build writes none for a partition no graph hashes to."""
+    root = fs.local(delta_dir)
+    if not os.path.isdir(root):
+        raise FileNotFoundError(f"no delta log under {delta_dir!r}")
+    return sorted(int(name.split("=")[1]) for name in os.listdir(root)
+                  if name.startswith("partition=")
+                  and os.path.isdir(os.path.join(root, name)))
+
+
+def num_partitions(delta_dir: str) -> int:
+    """The log's partition count P (``hash(graph_id) % P`` owns each
+    graph), from its ``_SUCCESS`` marker."""
+    with open(os.path.join(fs.local(delta_dir), SUCCESS_NAME)) as f:
+        return int(json.load(f)["num_partitions"])
+
+
+def footer_stats(path: str) -> tuple:
+    """``(rows, ts_min, ts_max)`` of one log file from its Parquet footer
+    alone — no row data is read. The ``warc_ts`` bounds are None when
+    any row group lacks statistics."""
+    import pyarrow.parquet as pq
+
+    md = pq.ParquetFile(path).metadata
+    col = next((i for i in range(md.num_columns)
+                if md.schema.column(i).name == "warc_ts"), None)
+    stats = [md.row_group(rg).column(col).statistics
+             for rg in range(md.num_row_groups)] if col is not None else []
+    if not stats or any(st is None or not st.has_min_max for st in stats):
+        return md.num_rows, None, None
+    return (md.num_rows, min(st.min for st in stats),
+            max(st.max for st in stats))
+
+
+def _log_files(delta_dir: str, pids, upto_ts) -> list:
+    """``(pid, path)`` of every data file of partitions ``pids`` (default:
+    every partition with a directory) in pid then replay order; with
+    ``upto_ts``, minus the files whose every row is later (footer-stat
+    pruning — a file without statistics is kept: pruning is an
+    optimization, never a correctness gate)."""
+    root = fs.local(delta_dir)
+    owned = [(pid, f) for pid in (partitions(root) if pids is None else pids)
+             for f in segment_files(root, pid)]
+    if upto_ts is None:
+        return owned
+    # floored to the second, the grain of an as-of compare
+    bound = pd.Timestamp(_ts_scalar(upto_ts).cast(pa.timestamp("us")).as_py())
+    kept = []
+    for pid, f in owned:
+        rows, lo, _ = footer_stats(f)
+        if rows and (lo is None or pd.Timestamp(lo).floor("s") <= bound):
+            kept.append((pid, f))
+    return kept
+
+
+def read_log(delta_dir: str, pids=None, upto_ts=None) -> pa.Table:
+    """The delta log — of partitions ``pids`` (default: every partition
+    with a directory), in pid then replay order — as one ``DELTAS``
+    table, read by one dataset scan. This is the one reader of the log's
+    files; a pid with no directory holds no rows.
+
+    With ``upto_ts``, only the rows at or before that instant (second
+    grain); files whose every row is later are never read past their
+    footer, so an early as-of read reads only the prefix of history that
+    can contribute.
+
+    Replay order is the ``seq`` column. A legacy file written before it
+    existed gets ``seq`` continuing its partition's replay order, in
+    file order, which is the order it was written in."""
+    import pyarrow.dataset as pads
+
+    owned = _log_files(delta_dir, pids, upto_ts)
+    if not owned:
+        return DELTAS.empty_table()
+    table = pads.dataset([f for _, f in owned], schema=DELTAS).to_table()
+    if table["seq"].null_count:
+        table = _legacy_seq(table, owned)
+    if upto_ts is not None:
+        table = table.filter(pc.less_equal(table["warc_ts"],
+                                           _ts_scalar(upto_ts)))
+    return table
+
+
+def read_log_dataset(delta_dir: str, upto_ts=None):
+    """The whole log as a Ray Dataset, for the distributed as-of driver
+    (:func:`..state.reconstruct.per_partition`), pruned as
+    :func:`read_log` prunes. When every file is pruned one is kept, so
+    the dataset keeps the log's schema; the driver's ``warc_ts <= ts``
+    filter drops its rows."""
+    import ray.data as rd
+
+    every = _log_files(delta_dir, None, None)
+    kept = every if upto_ts is None else \
+        _log_files(delta_dir, None, upto_ts) or every[:1]
+    return rd.read_parquet([f for _, f in kept])
+
+
+def _legacy_seq(table: pa.Table, owned: list) -> pa.Table:
+    """Fill the ``seq`` of seq-less (legacy) files: ``offset + arange``,
+    where ``offset`` is one past the largest ``seq`` of the partition's
+    earlier files."""
+    col = table["seq"]
+    seq = pc.fill_null(col, 0).to_numpy().copy()
+    null = col.is_null().to_numpy(zero_copy_only=False)
+    start, offset, last_pid = 0, 0, None
+    for pid, f in owned:
+        n = footer_stats(f)[0]
+        if pid != last_pid:
+            offset, last_pid = 0, pid
+        part = slice(start, start + n)
+        if n:
+            if null[part].any():
+                seq[part] = offset + np.arange(n)
+            offset = max(offset, int(seq[part].max()) + 1)
+        start += n
+    return table.set_column(table.schema.get_field_index("seq"), "seq",
+                            pa.array(seq))
+
+
 def sweep_staging(out_dir: str) -> int:
     """GC crash-orphaned hidden staging keys across all partitions."""
     out_dir = fs.local(out_dir)
@@ -251,10 +379,7 @@ def append_segment(out_dir: str, pid: int, add: pa.Table, merged: pa.Table,
     view so lineage/resume semantics are unchanged."""
     pdir = partition_dir(out_dir, pid)
     os.makedirs(pdir, exist_ok=True)
-    n_seg = sum(
-        1 for f in segment_files(out_dir, pid)
-        if os.path.basename(f) != "deltas.parquet"
-    )
+    n_seg = segment_count(out_dir, pid)
     fs.put_table(add, os.path.join(pdir, f"deltas.seg-{n_seg:06d}.parquet"))
     _write_manifest(pdir, pid, merged, wall_s)
 

@@ -16,9 +16,11 @@ Semantics reproduced:
 
 Execution shape: one commit is one pass in the driver under the store's
 write lock. The batch is partitioned by the SAME ``hash(graph_id) % P``
-key as the build (P read from the log's _SUCCESS manifest); each touched
-partition is read once, every touched graph is validated against that
-read BEFORE any write (so a monotonicity violation raises with zero
+key as the build (P from :func:`..stages.deltas.num_partitions`); each
+touched partition is read once (:func:`..stages.deltas.read_log`, the
+one reader of the log's files), every touched graph is validated
+against its head in that read (:meth:`.reconstruct.Versions.heads`)
+BEFORE any write (so a monotonicity violation raises with zero
 bytes changed — the atomicity the reference gets from its global write
 lock), and then each touched partition gets ONE new log segment holding
 only its new rows (``deltas.seg-NNNNNN.parquet``; existing data files are
@@ -53,7 +55,7 @@ from ..ntriples import parse, serialize, sha256_text
 from ..schemas import DELTAS, OP_DELETE, OP_UPDATE
 from ..shuffle_utils import partition_ids
 from ..stages import deltas as deltas_mod
-from .reconstruct import latest_rows
+from .reconstruct import prepare
 
 
 @dataclass
@@ -103,32 +105,6 @@ def init_log(delta_dir: str, num_partitions: int = 8) -> str:
     return delta_dir
 
 
-def _log_num_partitions(delta_dir: str) -> int:
-    with open(os.path.join(fs.local(delta_dir),
-                           deltas_mod.SUCCESS_NAME)) as f:
-        return int(json.load(f)["num_partitions"])
-
-
-def _partition_table(delta_dir: str, pid: int) -> pa.Table:
-    """Merged view of one partition: base file + append segments. Replay
-    order is the explicit ``seq`` column (legacy seq-less files get it
-    synthesized in file order, which equals their write order)."""
-    import pyarrow.parquet as pq
-
-    from ..schemas import ensure_seq
-
-    files = deltas_mod.segment_files(delta_dir, pid)
-    if not files:
-        return DELTAS.empty_table()
-    parts, offset = [], 0
-    for f in files:
-        t = ensure_seq(pq.read_table(f), start=offset)
-        offset = max(offset, _max_seq(t) + 1)
-        # parquet round-trips large_string as string; re-cast to contract
-        parts.append(t.select(DELTAS.names).cast(DELTAS))
-    return pa.concat_tables(parts)
-
-
 def _max_seq(table: pa.Table) -> int:
     if table.num_rows == 0:
         return -1
@@ -136,9 +112,9 @@ def _max_seq(table: pa.Table) -> int:
 
 
 def _latest_by_graph(table: pa.Table) -> dict:
-    """graph_id → (latest_ts_seconds, op, digest) of its max-``(warc_ts,
-    seq)`` row (:func:`.reconstruct.latest_rows`)."""
-    latest = latest_rows(table)
+    """graph_id → (latest_ts_seconds, op, digest) of its head, the
+    max-``(warc_ts, seq)`` row (:meth:`.reconstruct.Versions.heads`)."""
+    latest = prepare(table).heads()
     tss = latest["warc_ts"].cast(pa.timestamp("s")).cast(pa.int64())
     return dict(zip(latest["graph_id"].to_pylist(),
                     zip(tss.to_pylist(), latest["op"].to_pylist(),
@@ -346,11 +322,12 @@ def _apply_locked(delta_dir: str, ops: list, ts: int) -> int:
 
     t0 = time.monotonic()
     pids = partition_ids([gid for gid, _, _ in ops],
-                         _log_num_partitions(delta_dir))
+                         deltas_mod.num_partitions(delta_dir))
     by_pid: dict = {}
     for pid, op in zip(pids.tolist(), ops):
         by_pid.setdefault(pid, []).append(op)
-    current = {pid: _partition_table(delta_dir, pid) for pid in sorted(by_pid)}
+    current = {pid: deltas_mod.read_log(delta_dir, [pid])
+               for pid in sorted(by_pid)}
     latest: dict = {}  # a graph lives in one partition: no key collides
     for table in current.values():
         latest.update(_latest_by_graph(table))
@@ -448,7 +425,7 @@ def make_incremental_appender(delta_dir: str, snapshot_times):
         t0 = time.monotonic()
         pid = int(group["partition_id"].iloc[0])
         g = group[group["graph_id"] != _SEED_MARKER]
-        current = _partition_table(delta_dir, pid)
+        current = deltas_mod.read_log(delta_dir, [pid])
         pre = current.filter(
             pc.less(
                 current["warc_ts"].cast(pa.timestamp("s")),
@@ -505,34 +482,18 @@ def _compact_locked(delta_dir: str, min_segments: int) -> int:
 
     import ray.data as rd
 
-    num_partitions = _log_num_partitions(delta_dir)
-    todo = []
-    for pid in range(num_partitions):
-        n_seg = sum(
-            1 for f in deltas_mod.segment_files(delta_dir, pid)
-            if os.path.basename(f) != "deltas.parquet"
-        )
-        if n_seg >= min_segments:
-            todo.append(pid)
+    todo = [pid for pid in range(deltas_mod.num_partitions(delta_dir))
+            if deltas_mod.segment_count(delta_dir, pid) >= min_segments]
     if not todo:
         return 0
 
     def compact_one(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         out = []
         for pid in batch["pid"].to_pylist():
             t0 = time.monotonic()
-            merged = _partition_table(delta_dir, pid)
-            idx = pc.sort_indices(
-                merged,
-                sort_keys=[("graph_id", "ascending"), ("warc_ts", "ascending"),
-                           ("seq", "ascending")],
-            )
-            deltas_mod.write_partition(
-                delta_dir, pid, merged.take(idx),
-                wall_s=time.monotonic() - t0,
-            )
+            merged = prepare(deltas_mod.read_log(delta_dir, [pid])).rows
+            deltas_mod.write_partition(delta_dir, pid, merged,
+                                       wall_s=time.monotonic() - t0)
             out.append(pid)
         return pa.table({"pid": pa.array(out, pa.int64())})
 
@@ -576,7 +537,7 @@ def _truncate_locked(delta_dir: str, before_ts: int) -> int:
 
     import ray.data as rd
 
-    num_partitions = _log_num_partitions(delta_dir)
+    num_partitions = deltas_mod.num_partitions(delta_dir)
     cut = pa.scalar(before_ts * 10**6, pa.timestamp("us")).cast(
         pa.timestamp("s")
     )
@@ -585,7 +546,7 @@ def _truncate_locked(delta_dir: str, before_ts: int) -> int:
         out = []
         for pid in batch["pid"].to_pylist():
             t0 = time.monotonic()
-            merged = _partition_table(delta_dir, pid)
+            merged = deltas_mod.read_log(delta_dir, [pid])
             if merged.num_rows == 0:
                 out.append({"pid": pid, "removed": 0})
                 continue
@@ -593,17 +554,9 @@ def _truncate_locked(delta_dir: str, before_ts: int) -> int:
             old = merged.filter(pc.less(ts_col, cut))
             new = merged.filter(pc.greater_equal(ts_col, cut))
             # baseline: each graph's latest pre-cut row, live graphs only
-            base = latest_rows(old)
+            base = prepare(old).heads()
             base = base.filter(pc.not_equal(base["op"], OP_DELETE))
-            squashed = pa.concat_tables(
-                [base.select(DELTAS.names), new.select(DELTAS.names)]
-            ).cast(DELTAS)
-            idx = pc.sort_indices(
-                squashed,
-                sort_keys=[("graph_id", "ascending"),
-                           ("warc_ts", "ascending"), ("seq", "ascending")],
-            )
-            squashed = squashed.take(idx)
+            squashed = prepare(pa.concat_tables([base, new])).rows
             squashed = squashed.set_column(
                 squashed.schema.get_field_index("seq"), "seq",
                 pa.array(np.arange(squashed.num_rows, dtype=np.int64)),

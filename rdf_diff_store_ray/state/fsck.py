@@ -47,9 +47,9 @@ def _check_partition(delta_dir: str, pid: int, num_partitions: int,
                      check_canonical: bool) -> dict:
     from .. import ntriples
     from ..shuffle_utils import partition_ids
-    from .append import _partition_table
+    from ..stages.deltas import read_log
 
-    t = _partition_table(delta_dir, pid)
+    t = read_log(delta_dir, [pid])
     out = {c: 0 for c in _VIOLATION_COLS}
     out.update({"partition": pid, "n_rows": t.num_rows, "n_graphs": 0})
     if t.num_rows == 0:
@@ -122,9 +122,12 @@ def fsck_store(delta_dir: str, *, check_canonical: bool = True):
     columns (partition, n_rows, n_graphs, bad_*)."""
     import ray.data as rd
 
-    from .append import _log_num_partitions
+    from .. import fs
+    from ..stages.deltas import num_partitions as log_partitions
 
-    num_partitions = _log_num_partitions(delta_dir)
+    # resolved here: a worker may not see the driver's mocks3 root
+    delta_dir = fs.local(delta_dir)
+    num_partitions = log_partitions(delta_dir)
 
     def check(batch: pa.Table) -> pa.Table:
         rows = [

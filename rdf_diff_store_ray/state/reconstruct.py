@@ -22,11 +22,13 @@ One prepare step (:func:`prepare`, :class:`Versions`), built once per
 delta table, turns the log into version intervals ("An Interval-centric
 Model for Distributed Computing over Temporal Graphs", ICDE 2020):
 
-- the rows sorted by ``(graph_id, warc_ts, seq)`` — the order of
-  :func:`latest_rows` — each valid over ``[sec, t_to)``, where ``sec``
-  is its floored second and ``t_to`` the second of its graph's next
-  version (open for the last). Same-second replays get empty intervals
-  ``[s, s)``, so the last write of a second wins with no special case;
+- the rows sorted by ``(graph_id, warc_ts, seq)`` — the log's one
+  version order (``seq`` makes it total: same-second ties resolve by
+  write order, never by sort stability) — each valid over
+  ``[sec, t_to)``, where ``sec`` is its floored second and ``t_to`` the
+  second of its graph's next version (open for the last, the graph's
+  head). Same-second replays get empty intervals ``[s, s)``, so the
+  last write of a second wins with no special case;
 - on the first read that needs lines, the distinct version texts, each
   exploded once into ids of ONE bytewise-sorted dictionary of distinct
   lines (:func:`explode_lines`);
@@ -70,7 +72,6 @@ import math
 import numbers
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -97,48 +98,6 @@ def _ts_scalar(ts) -> pa.Scalar:
     (``src/git.rs:82,157``)."""
     secs = unix_seconds(ts)
     return pa.scalar(ts if secs is None else secs, pa.timestamp("s"))
-
-
-def prune_log_files(files, ts) -> list:
-    """Footer-stat time pruning for as-of reads: drop log files in which
-    EVERY row has ``warc_ts > ts`` — on a log-structured store (base
-    partition file + append segments in write order) a reconstruction at
-    an early instant then opens only the prefix of history that can
-    contribute. Driver-side metadata-only reads (O(files), a few KB per
-    footer, no row data); files without column statistics are kept
-    (pruning is an optimization, never a correctness gate). The min is
-    floored to second grain to match ``state_at``'s
-    ``warc_ts.cast(timestamp('s')) <= ts`` comparison exactly."""
-    import pyarrow.parquet as pq
-
-    bound = pd.Timestamp(_ts_scalar(ts).cast(pa.timestamp("us")).as_py())
-    keep = []
-    for f in files:
-        md = pq.ParquetFile(f).metadata
-        if md.num_rows == 0:
-            continue  # an empty base/segment file contributes nothing
-        try:
-            col_idx = next(
-                i for i in range(md.num_columns)
-                if md.schema.column(i).name == "warc_ts"
-            )
-        except StopIteration:
-            keep.append(f)
-            continue
-        file_min = None
-        has_stats = True
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(col_idx).statistics
-            if st is None or not st.has_min_max:
-                has_stats = False
-                break
-            mn = pd.Timestamp(st.min)
-            file_min = mn if file_min is None else min(file_min, mn)
-        if not has_stats or file_min is None:
-            keep.append(f)
-        elif file_min.floor("s") <= bound:
-            keep.append(f)
-    return keep
 
 
 # ---------------------------------------------------------------- kernels
@@ -183,6 +142,11 @@ class Versions:
         # pickled by value into Ray workers, and a lock does not pickle):
         # two threads racing here only repeat the work
         self._dictionary = self._triples = None
+
+    def heads(self) -> pa.Table:
+        """Each graph's latest version, deletes included: the rows
+        whose interval is open — what a write validates against."""
+        return self.rows.filter(pa.array(self.t_to == _OPEN))
 
     def live(self, k: int) -> np.ndarray:
         """The one as-of mask: the versions valid at ``k`` and not a
@@ -245,23 +209,6 @@ def state_at_table(deltas, ts) -> pa.Table:
     ``graph_id`` order."""
     v = prepare(deltas)
     return v.rows.filter(pa.array(v.live(_instant(ts))))
-
-
-def latest_rows(table: pa.Table) -> pa.Table:
-    """One row per graph: its max-``(warc_ts, seq)`` row, by a vectorized
-    per-graph arg-max. The explicit seq replay column makes the sort a
-    TOTAL order — same-second ties resolve by write order, never by sort
-    stability (pc.sort_indices is not stable)."""
-    if table.num_rows == 0:
-        return table
-    idx = pc.sort_indices(
-        table, sort_keys=[("graph_id", "ascending"), ("warc_ts", "ascending"),
-                          ("seq", "ascending")]
-    )
-    srt = table.take(idx)
-    gids = srt["graph_id"].to_numpy(zero_copy_only=False)
-    last_of_run = np.r_[gids[1:] != gids[:-1], True]
-    return srt.filter(pa.array(last_of_run))
 
 
 def explode_lines(table: pa.Table, carry) -> pa.Table:

@@ -14,36 +14,18 @@ segments are not in it, by design (counting them would read rows).
 
 from __future__ import annotations
 
-import glob
-import json
 import os
 
-
-def _footer_ts_range(path: str):
-    import pyarrow.parquet as pq
-
-    md = pq.ParquetFile(path).metadata
-    col_idx = next(
-        (i for i in range(md.num_columns)
-         if md.schema.column(i).name == "warc_ts"), None)
-    if col_idx is None:
-        return None, None, md.num_rows
-    lo = hi = None
-    for rg in range(md.num_row_groups):
-        st = md.row_group(rg).column(col_idx).statistics
-        if st is None or not st.has_min_max:
-            continue
-        lo = st.min if lo is None else min(lo, st.min)
-        hi = st.max if hi is None else max(hi, st.max)
-    return lo, hi, md.num_rows
+from .. import fs
+from ..stages import deltas
 
 
 def store_stats(delta_dir: str) -> dict:
-    parts = sorted(glob.glob(os.path.join(delta_dir, "partition=*")))
-    if not parts:
+    pids = deltas.partitions(delta_dir)
+    if not pids:
         raise ValueError(f"no delta partitions under {delta_dir!r}")
     out = {
-        "partitions": len(parts),
+        "partitions": len(pids),
         "rows": 0,
         "graphs_base": 0,
         "base_files": 0,
@@ -51,7 +33,8 @@ def store_stats(delta_dir: str) -> dict:
         "bytes": 0,
         "ts_min": None,
         "ts_max": None,
-        "locked": os.path.exists(os.path.join(delta_dir, ".write.lock")),
+        "locked": os.path.exists(os.path.join(fs.local(delta_dir),
+                                              ".write.lock")),
     }
 
     def fold_ts(lo, hi):
@@ -62,20 +45,19 @@ def store_stats(delta_dir: str) -> dict:
             out["ts_max"] = hi if out["ts_max"] is None else max(
                 out["ts_max"], hi)
 
-    for d in parts:
-        for f in sorted(glob.glob(os.path.join(d, "*.parquet"))):
+    for pid in pids:
+        for f in deltas.segment_files(delta_dir, pid):
             out["bytes"] += os.path.getsize(f)
-            lo, hi, n_rows = _footer_ts_range(f)
+            n_rows, lo, hi = deltas.footer_stats(f)
             out["rows"] += n_rows
             fold_ts(lo, hi)
             if ".seg-" in os.path.basename(f):
                 out["segment_files"] += 1
             else:
                 out["base_files"] += 1
-        man = os.path.join(d, "manifest.json")
-        if os.path.exists(man):
-            with open(man) as fh:
-                out["graphs_base"] += int(json.load(fh).get("graphs", 0))
+        man = deltas.read_manifest(delta_dir, pid)
+        if man is not None:
+            out["graphs_base"] += int(man.get("graphs", 0))
     for k in ("ts_min", "ts_max"):
         if out[k] is not None:
             out[k] = str(out[k])

@@ -40,15 +40,13 @@ build/append pipelines, not here.
 
 from __future__ import annotations
 
-import glob
-import os
 import re
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 from .. import ntriples
+from ..stages.deltas import read_log
 from . import reconstruct
 from .append import append_graphs, commit, delete_graphs
 
@@ -72,13 +70,6 @@ _LOAD_RE = re.compile(
     r"LOAD\s+(SILENT\s+)?<([^<>\s]+)>\s+INTO\s+GRAPH\s*<([^<>\s]+)>\s*$",
     re.IGNORECASE,
 )
-
-
-def _store_table(store: str):
-    files = sorted(glob.glob(os.path.join(store, "partition=*", "*.parquet")))
-    if not files:
-        raise ValueError(f"no delta partitions under {store!r}")
-    return pads.dataset(files).to_table()
 
 
 def _ground_term(term, pos: str):
@@ -528,7 +519,7 @@ def sparql_update(store: str, update: str, ts: int) -> dict:
         n = append_graphs(store, {u["graph"]: []}, ts)
         return {"form": form, "graphs": n, "added": 0, "removed": 0}
 
-    deltas = _store_table(store)
+    deltas = read_log(store)
     if form in ("create_graph", "copy_graph", "move_graph", "add_graph",
                 "load"):
         return _graph_management(store, u, deltas, ts)

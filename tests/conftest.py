@@ -83,3 +83,48 @@ def oracle_store(small_corpus):
         )
     pv = [(u, ts, ntriples.serialize(tr)) for (u, ts), tr in by_pv.items()]
     return oracle.replay_pages(pv, small_corpus.snapshot_times)
+
+
+@pytest.fixture()
+def read_doors(ray_session, capsys):
+    """``read(store, ts)`` → the merged document at ``ts``, read through
+    every read door of ``store`` (a path or a URI): ``StoreBackend`` over
+    the in-process reader and over the router, ``QueryService``, and the
+    CLI's ``query`` and ``metadata``. Asserts that the doors agree on the
+    document, on a query's answer and on the store's bounds."""
+    import json
+
+    from rdf_diff_store_ray.__main__ import main
+    from rdf_diff_store_ray.query.service import QueryService
+    from rdf_diff_store_ray.server import StoreBackend
+
+    q = "SELECT ?s ?o WHERE { ?s <https://x/p> ?o }"
+
+    def read(store, ts):
+        docs, answers, bounds = [], [], []
+        for distributed in (False, True):
+            backend = StoreBackend(store, distributed=distributed)
+            try:
+                docs.append(backend.graphs_at(ts, None)[0])
+                answers.append(backend.sparql_at(ts, q)[0])
+                bounds.append(backend.metadata())
+            finally:
+                backend.close()
+        svc = QueryService(store)
+        try:
+            docs.append(svc.graphs_at(ts))
+            answers.append(svc.answer(ts, q, "json")[0])
+        finally:
+            svc.shutdown()
+        capsys.readouterr()
+        assert main(["query", "--store", store, "--ts", str(ts),
+                     "--bgp", q]) == 0
+        answers.append(capsys.readouterr().out.rstrip("\n"))
+        assert main(["metadata", "--store", store]) == 0
+        bounds.append(json.loads(capsys.readouterr().out))
+        assert docs[1:] == docs[:-1]
+        assert answers[1:] == answers[:-1]
+        assert bounds[1:] == bounds[:-1]
+        return docs[0]
+
+    return read

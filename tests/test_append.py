@@ -186,19 +186,20 @@ def test_commit_reads_each_touched_partition_once(store, monkeypatch):
     under the write lock: a commit over several partitions reads each of
     them exactly once and never opens an untouched one."""
     from rdf_diff_store_ray.shuffle_utils import partition_ids
+    from rdf_diff_store_ray.stages import deltas as deltas_mod
     from rdf_diff_store_ray.state import append as append_mod
 
     ids = ["fresh", "fresh-0", "old"]
     touched = sorted(set(partition_ids(ids, 4).tolist()))
     assert len(touched) == 3
     reads = []
-    real = append_mod._partition_table
+    real = deltas_mod.read_log
 
-    def counting(delta_dir, pid):
-        reads.append(pid)
-        return real(delta_dir, pid)
+    def counting(delta_dir, pids=None, upto_ts=None):
+        reads.extend(pids)
+        return real(delta_dir, pids, upto_ts)
 
-    monkeypatch.setattr(append_mod, "_partition_table", counting)
+    monkeypatch.setattr(deltas_mod, "read_log", counting)
     assert append_mod.append_graphs(store, {g: G_A for g in ids}, T1) == 3
     assert sorted(reads) == touched
     reads.clear()
@@ -584,39 +585,44 @@ def test_truncate_cli(ray_session, tmp_path, capsys):
 
 
 def test_prune_log_files_time_pruning(store, ray_session):
-    """Footer-stat pruning for as-of reads: (a) files whose every row
-    postdates the target instant are dropped, (b) the pruned file set
-    reconstructs the identical state, (c) a pruned file is genuinely
-    never opened — corrupting it on disk cannot perturb the read."""
+    """Footer-stat pruning for as-of reads (``read_log(upto_ts=...)``):
+    (a) files whose every row postdates the target instant are dropped,
+    (b) the pruned read reconstructs the identical state, (c) a pruned
+    file is genuinely never opened — corrupting it on disk cannot
+    perturb the read."""
+    from rdf_diff_store_ray.stages.deltas import _log_files, read_log
     from rdf_diff_store_ray.state.append import append_graphs
-    from rdf_diff_store_ray.state.reconstruct import (
-        prune_log_files,
-        state_at_table,
-    )
+    from rdf_diff_store_ray.state.reconstruct import state_at_table
 
     append_graphs(store, {"g1": G_A, "g2": G_B}, T1)
     append_graphs(store, {"g1": G_A2}, T2)
     append_graphs(store, {"g3": G_B}, T3)
 
     files = sorted(glob.glob(os.path.join(store, "partition=*", "*.parquet")))
-    kept_mid = prune_log_files(files, T1 + 1)
+    kept_mid = [f for _, f in _log_files(store, None, T1 + 1)]
     assert set(kept_mid) < set(files), "late segments must drop"
-    full = state_at_table(_delta_table(store), T1 + 1)
-    pruned = state_at_table(pads.dataset(kept_mid).to_table(), T1 + 1)
+    full = state_at_table(read_log(store), T1 + 1)
+    pruned = state_at_table(read_log(store, upto_ts=T1 + 1), T1 + 1)
     assert sorted(full["graph_id"].to_pylist()) == ["g1", "g2"]
     assert full.sort_by("graph_id").equals(pruned.sort_by("graph_id"))
 
     # end-of-history read: only empty base files may drop; state identical
-    kept_end = prune_log_files(files, T3)
-    full_end = state_at_table(_delta_table(store), T3)
-    pruned_end = state_at_table(pads.dataset(kept_end).to_table(), T3)
+    full_end = state_at_table(read_log(store), T3)
+    pruned_end = state_at_table(read_log(store, upto_ts=T3), T3)
     assert full_end.sort_by("graph_id").equals(pruned_end.sort_by("graph_id"))
 
-    # pruned files are never opened: corrupt every dropped file, re-read
+    # pruned files are never read past their footer: corrupt every
+    # dropped file's data pages (the footer stays intact), re-read
     for f in set(files) - set(kept_mid):
-        with open(f, "wb") as fh:
-            fh.write(b"not parquet at all")
-    again = state_at_table(pads.dataset(kept_mid).to_table(), T1 + 1)
+        size = os.path.getsize(f)
+        with open(f, "r+b") as fh:
+            fh.seek(size - 8)
+            footer = int.from_bytes(fh.read(4), "little")
+            fh.seek(4)  # past the leading magic bytes
+            fh.write(b"\xff" * (size - 8 - footer - 4))
+    with pytest.raises(OSError):  # the full read does reach them
+        read_log(store)
+    again = state_at_table(read_log(store, upto_ts=T1 + 1), T1 + 1)
     assert again.sort_by("graph_id").equals(pruned.sort_by("graph_id"))
 
 
@@ -632,8 +638,10 @@ def test_delta_files_upto_ts_pre_history_keeps_schema(ray_session, tmp_path):
     res = BuildResult(out_dir=str(tmp_path / "out"), num_partitions=2,
                       manifests=[], canonical_map_size=0, wall_s=0.0,
                       resumed_partitions=0)
-    assert len(res.delta_files(upto_ts=T1)) == 1
-    live = state_at(res.delta_dataset(upto_ts=T1), T1)
+    pre = res.delta_dataset(upto_ts=T1)
+    assert {"graph_id", "warc_ts", "op", "delta_text"} <= set(
+        pre.schema().names)
+    live = state_at(pre, T1)
     assert live.count() == 0
     # mid/end reads through the same surface stay correct
     assert state_at(res.delta_dataset(upto_ts=T2), T2).count() == 1

@@ -194,7 +194,7 @@ def test_reader_prepares_and_parses_once(monkeypatch):
     no per-read sort of the log or explode of its texts."""
     from rdf_diff_store_ray.query.bgp import DiffStoreReader
 
-    calls = {"parse": 0, "latest_rows": 0, "explode_lines": 0}
+    calls = {"parse": 0, "log_sorts": 0, "explode_lines": 0}
 
     def counted(owner, name):
         orig = getattr(owner, name)
@@ -205,17 +205,24 @@ def test_reader_prepares_and_parses_once(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(ntriples, "parse")
-    counted(reconstruct, "latest_rows")
     counted(reconstruct, "explode_lines")
-    reader = DiffStoreReader(_table(LOG))
+    log = _table(LOG)
+    real_versions = reconstruct.Versions
+
+    def versions(deltas):
+        # a graph_at point read prepares only its graph's rows
+        calls["log_sorts"] += deltas.num_rows == log.num_rows
+        return real_versions(deltas)
+    monkeypatch.setattr(reconstruct, "Versions", versions)
+    reader = DiffStoreReader(log)
     instants = list(range(T0 - 1, T0 + 250, 13))[:20]
     assert len(instants) == 20
     for k in instants:
         reader.graphs_at(k)
         reader.graph_at("g\x00b", k)
-    assert calls == {"parse": 0, "latest_rows": 0, "explode_lines": 1}
+    assert calls == {"parse": 0, "log_sorts": 1, "explode_lines": 1}
     for k in instants:
         assert reader.query_at(k, "SELECT ?s ?p ?o WHERE { ?s ?p ?o }") \
             is not None
         reader.diff(T0, k)
-    assert calls == {"parse": 1, "latest_rows": 0, "explode_lines": 1}
+    assert calls == {"parse": 1, "log_sorts": 1, "explode_lines": 1}

@@ -4,12 +4,10 @@ through the fsspec client adapter (fs._FsspecClient — the exact shape a
 real s3fs adapter keeps). The full append/compact/sync/fsck/index
 matrix runs against it."""
 
-import glob
 import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.dataset as pads
 import pytest
 
 from rdf_diff_store_ray import fs
@@ -76,10 +74,11 @@ def test_verbs_route_through_fsspec_client(mocks3_root, put_spy):
     _no_visible_garbage(mocks3_root)
 
 
-def test_store_lifecycle_on_mocks3(ray_session, mocks3_root, put_spy):
-    """init → append (segments) → reconstruct → compact → fsck → sync,
-    all addressed by mocks3:// URIs, every durable write a client PUT."""
-    from rdf_diff_store_ray.query.bgp import DiffStoreReader
+def test_store_lifecycle_on_mocks3(ray_session, mocks3_root, put_spy,
+                                   read_doors):
+    """init → append (segments) → every read door → SPARQL Update →
+    compact → fsck → sync, all addressed by mocks3:// URIs, every
+    durable write a client PUT."""
     from rdf_diff_store_ray.stages.deltas import segment_files
     from rdf_diff_store_ray.state.append import (
         append_graphs,
@@ -88,6 +87,7 @@ def test_store_lifecycle_on_mocks3(ray_session, mocks3_root, put_spy):
     )
     from rdf_diff_store_ray.state.fsck import fsck_ok, fsck_store
     from rdf_diff_store_ray.state.sync import sync_store
+    from rdf_diff_store_ray.state.update import sparql_update
 
     uri = "mocks3://bucket/store/deltas"
     init_log(uri, num_partitions=4)
@@ -98,20 +98,20 @@ def test_store_lifecycle_on_mocks3(ray_session, mocks3_root, put_spy):
     _no_visible_garbage(mocks3_root)
     assert any(len(segment_files(uri, pid)) > 1 for pid in range(4))
 
-    local = fs.local(uri)
-
-    def reader():
-        files = sorted(glob.glob(os.path.join(local, "partition=*",
-                                              "*.parquet")))
-        return DiffStoreReader(pads.dataset(files).to_table())
-
-    doc_t2 = reader().graphs_at(T2)
+    doc_t2 = read_doors(uri, T2)
     assert '"2"' in doc_t2 and '"3"' in doc_t2
-    assert '"1"' in reader().graphs_at(T1)
+    assert '"1"' in read_doors(uri, T1)
+
+    # SPARQL Update reads the URI store before it commits
+    out = sparql_update(
+        uri, 'INSERT DATA { GRAPH <g-c> { <https://x/c> <https://x/p> "4" '
+        '. } }', T3)
+    assert out["graphs"] == 1 and out["added"] == 1
+    assert '"4"' in read_doors(uri, T3)
 
     compact_log(uri)
     assert all(len(segment_files(uri, pid)) <= 1 for pid in range(4))
-    assert '"2"' in reader().graphs_at(T2)
+    assert '"2"' in read_doors(uri, T2)
     assert fsck_ok(fsck_store(uri))
 
     dst = "mocks3://bucket/replica/deltas"
@@ -119,10 +119,7 @@ def test_store_lifecycle_on_mocks3(ray_session, mocks3_root, put_spy):
     assert r1["copied"] > 0
     r2 = sync_store(uri, dst)  # quick-check: unchanged objects not copied
     assert r2["copied"] == 0 and r2["removed"] == 0
-    rep = sorted(glob.glob(os.path.join(fs.local(dst), "partition=*",
-                                        "*.parquet")))
-    assert '"3"' in DiffStoreReader(
-        pads.dataset(rep).to_table()).graphs_at(T2)
+    assert read_doors(dst, T3) == read_doors(uri, T3)
     _no_visible_garbage(mocks3_root)
 
 
@@ -132,6 +129,7 @@ def test_cross_scheme_sync_file_to_mocks3(ray_session, tmp_path,
     mocks3:// replica (the migrate-to-object-store path), quick-check
     included, and the replica serves identical state."""
     from rdf_diff_store_ray.query.bgp import DiffStoreReader
+    from rdf_diff_store_ray.stages.deltas import read_log
     from rdf_diff_store_ray.state.append import append_graphs, init_log
     from rdf_diff_store_ray.state.sync import sync_store
 
@@ -142,18 +140,13 @@ def test_cross_scheme_sync_file_to_mocks3(ray_session, tmp_path,
     r1 = sync_store(src, dst)
     assert r1["copied"] > 0
     assert sync_store(src, dst)["copied"] == 0  # signature quick-check
-    rep = sorted(glob.glob(os.path.join(fs.local(dst), "partition=*",
-                                        "*.parquet")))
-    doc = DiffStoreReader(pads.dataset(rep).to_table()).graphs_at(T1)
+    doc = DiffStoreReader(read_log(dst)).graphs_at(T1)
     assert '"1"' in doc and '"3"' in doc
     # primary advances; re-sync carries only the change
     append_graphs(src, {"g-a": G2}, T2)
     r3 = sync_store(src, dst)
     assert r3["copied"] > 0
-    rep = sorted(glob.glob(os.path.join(fs.local(dst), "partition=*",
-                                        "*.parquet")))
-    assert '"2"' in DiffStoreReader(
-        pads.dataset(rep).to_table()).graphs_at(T2)
+    assert '"2"' in DiffStoreReader(read_log(dst)).graphs_at(T2)
     _no_visible_garbage(mocks3_root)
 
 

@@ -166,12 +166,12 @@ def _twin_store(tmp_path):
 def twin(ray_session, tmp_path_factory):
     """(reader, router) over one :func:`_twin_store`."""
     from rdf_diff_store_ray.query.bgp import DiffStoreReader
-    from rdf_diff_store_ray.query.front import load_deltas
+    from rdf_diff_store_ray.stages.deltas import read_log
     from rdf_diff_store_ray.query.service import QueryService
 
     store = _twin_store(tmp_path_factory.mktemp("twin"))
     svc = QueryService(store)
-    yield DiffStoreReader(load_deltas(store)), svc
+    yield DiffStoreReader(read_log(store)), svc
     svc.shutdown()
 
 

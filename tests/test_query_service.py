@@ -1,6 +1,8 @@
 """Distributed query service (per-partition reader actors + router) must
 agree with the single-reader path over the same delta log."""
 
+import os
+
 import pandas as pd
 import pytest
 
@@ -417,11 +419,11 @@ def test_expression_exists_crosses_partitions(ray_session, tmp_path):
     partition than its outer pattern, so the router must not evaluate
     the query per partition."""
     from rdf_diff_store_ray.query.bgp import DiffStoreReader
-    from rdf_diff_store_ray.query.front import load_deltas
+    from rdf_diff_store_ray.stages.deltas import read_log
     from rdf_diff_store_ray.query.service import QueryService
 
     store = _split_partition_store(tmp_path)
-    reader = DiffStoreReader(load_deltas(store))
+    reader = DiffStoreReader(read_log(store))
     svc = QueryService(store)
     ts = 1_700_000_001
     try:
@@ -433,5 +435,47 @@ def test_expression_exists_crosses_partitions(ray_session, tmp_path):
             want = reader.query_at(ts, q)
             assert list(want["s"]) == ["https://x/s"], q
             pd.testing.assert_frame_equal(svc.query_at(ts, q), want)
+    finally:
+        svc.shutdown()
+
+
+def test_sparse_build_routes_by_pid(ray_session, tmp_path):
+    """A build with more partitions than graphs writes a directory only
+    for the partitions some graph hashes to. The router starts one actor
+    per existing pid and finds a graph's owner by the commit's rule,
+    ``hash(graph_id) % P``, so ``graph_at``, ``GRAPH <g>`` and
+    ``FROM <g>`` answer as the reader does for every graph — and a graph
+    whose partition has no directory is absent, not misrouted."""
+    from rdf_diff_store_ray import corpus
+    from rdf_diff_store_ray.pipelines.build import build
+    from rdf_diff_store_ray.query.bgp import DiffStoreReader
+    from rdf_diff_store_ray.query.service import QueryService
+    from rdf_diff_store_ray.shuffle_utils import partition_ids
+
+    c = corpus.generate(n_urls=4, n_snapshots=3, seed=42)
+    c.write(str(tmp_path / "corpus"))
+    res = build(str(tmp_path / "corpus" / "pages.parquet"),
+                str(tmp_path / "kg"), gazetteer=c.gazetteer,
+                num_partitions=16, resume=False)
+    pids = sorted(int(d.split("=")[1]) for d in os.listdir(res.delta_dir)
+                  if d.startswith("partition="))
+    # sparse, and an actor's position differs from its pid
+    assert len(pids) < 16 and pids != list(range(len(pids)))
+    reader = DiffStoreReader(res.delta_table())
+    gids = sorted(set(res.delta_table()["graph_id"].to_pylist()))
+    absent = next(g for g in (f"https://x/absent{i}" for i in range(64))
+                  if int(partition_ids([g], 16)[0]) not in pids)
+    svc = QueryService(res.delta_dir)
+    try:
+        for ts in c.snapshot_times:
+            for g in gids + [absent]:
+                assert svc.graph_at(g, ts) == reader.graph_at(g, ts), g
+                for q in (
+                    f"SELECT ?s ?p ?o WHERE {{ GRAPH <{g}> {{ ?s ?p ?o }} }}",
+                    f"SELECT ?s ?p ?o FROM <{g}> WHERE {{ ?s ?p ?o }}",
+                ):
+                    pd.testing.assert_frame_equal(svc.query_at(ts, q),
+                                                  reader.query_at(ts, q))
+        assert any(reader.graph_at(g, c.snapshot_times[-1]) for g in gids)
     finally:
         svc.shutdown()

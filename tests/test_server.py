@@ -552,7 +552,7 @@ def test_front_door_parity_across_doors(ray_session, tmp_path):
     through every door (and the router's streamed ``graphs_at_to``),
     with the labels its SPARQL answers show."""
     from rdf_diff_store_ray.query.bgp import DiffStoreReader
-    from rdf_diff_store_ray.query.front import load_deltas
+    from rdf_diff_store_ray.stages.deltas import read_log
     from rdf_diff_store_ray.query.service import QueryService
     from rdf_diff_store_ray.server import DiffStoreServer
     from rdf_diff_store_ray.shuffle_utils import partition_ids
@@ -601,7 +601,7 @@ def test_front_door_parity_across_doors(ray_session, tmp_path):
     runs = []
     svc = QueryService(store)
     try:
-        runs.append(sequence(in_process(DiffStoreReader(load_deltas(store))),
+        runs.append(sequence(in_process(DiffStoreReader(read_log(store))),
                              T2))
         runs.append(sequence(in_process(svc), T2 + 10))
         for i, distributed in enumerate((False, True)):
@@ -634,7 +634,7 @@ def test_front_door_parity_across_doors(ray_session, tmp_path):
         b_id: ('_:b <http://q> _:c .\n_:c <http://r> _:d .\n'
                '_:d <http://r> "y" .\n'),
     }, T1)
-    reader = DiffStoreReader(load_deltas(bn))
+    reader = DiffStoreReader(read_log(bn))
     svc = QueryService(bn)
     try:
         docs = [reader.graphs_at(T2), svc.graphs_at(T2)]
