@@ -222,14 +222,13 @@ def build_incremental(
             f"no existing store at {os.path.dirname(success_path)!r} — run "
             "build() (or init_log) first; build_incremental only appends"
         )
-    with open(success_path) as f:
-        meta = json.load(f)
+    delta_dir = os.path.dirname(success_path)
     return _run(pages, out_dir, gazetteer,
                 layout=_store_layout(out_dir) or "driver", append=True,
-                num_partitions=int(meta["num_partitions"]),
+                num_partitions=deltas_mod.num_partitions(delta_dir),
                 batch_size=batch_size, enforce_digest=enforce_digest,
                 write_triples=write_triples,
-                prior_snap=[int(t) for t in meta.get("snapshot_times", [])])
+                prior_snap=deltas_mod.snapshot_times(delta_dir))
 
 
 def _store_layout(out_dir: str) -> str | None:

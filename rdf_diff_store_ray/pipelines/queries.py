@@ -2218,11 +2218,10 @@ def _store_end_ts(res) -> int:
     """End-of-history timestamp without touching delta rows: the build's
     ``_SUCCESS`` manifest records the snapshot grid (O(1) driver read —
     a min/max over the whole log would be a pointless Ray job here)."""
-    import json
+    from ..stages.deltas import snapshot_times
 
     try:
-        with open(os.path.join(res.delta_dir, "_SUCCESS")) as f:
-            times = json.load(f).get("snapshot_times") or []
+        times = snapshot_times(res.delta_dir)
         if times:
             return int(max(times))
     except (OSError, ValueError):

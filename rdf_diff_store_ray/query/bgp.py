@@ -72,6 +72,14 @@ class LRU:
             while len(self.d) > self.cap:
                 self.d.popitem(last=False)
 
+    def filtered(self, keep) -> "LRU":
+        """A new LRU of the same capacity holding the entries whose key
+        passes ``keep``, in the same recency order."""
+        out = LRU(self.cap)
+        with self._lock:
+            out.d.update((k, v) for k, v in self.d.items() if keep(k))
+        return out
+
 
 def parse_bgp(query: str):
     """Parse ``pat ( . pat)*`` where pat = 3 terms — the base group's
@@ -4363,6 +4371,21 @@ class DiffStoreReader(AsOfReads):
         if self._versions is None:
             self._versions = reconstruct.prepare(self.deltas)
         return self._versions
+
+    def extended(self, rows: pa.Table) -> "DiffStoreReader":
+        """This reader after a write of the delta ``rows`` (what
+        :func:`..state.append.commit` returns), as a new reader: its
+        prepared versions extended (:meth:`..state.reconstruct.Versions.extend`)
+        and its caches kept before the write's first instant. ``self``
+        keeps serving the reads already holding it."""
+        if not rows.num_rows:
+            return self
+        new = self._successor(rows)
+        new.deltas = pa.concat_tables([self.deltas, rows.select(
+            self.deltas.schema.names).cast(self.deltas.schema)])
+        if self._versions is not None:
+            new._versions = self._versions.extend(rows)
+        return new
 
     def _materialize(self, form: str, k: int):
         make = {"store": reconstruct.triples_at_table,

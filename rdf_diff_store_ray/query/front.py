@@ -42,6 +42,7 @@ on those attributes see every call.
 
 from __future__ import annotations
 
+import copy
 import time
 from urllib.parse import urlparse
 
@@ -95,6 +96,23 @@ class AsOfReads:
     def _materialize(self, form: str, k: int):
         """The form ``form`` of the state at ``k`` (see the module doc)."""
         raise NotImplementedError
+
+    def _successor(self, rows):
+        """A shallow copy of this door for the store after a write of
+        the (non-empty) delta ``rows``, holding only the cache entries
+        at instants before the write's first second ``ts_w``: a version
+        at ``ts_w`` changes no state at ``k < ts_w``, so those entries
+        stay exact (and may be shared; an entry at ``k`` is only ever
+        filled with the forms of ``k``). Fresh LRU objects keep a read
+        still running on ``self`` from caching a pre-write answer into
+        the successor."""
+        import pyarrow.compute as pc
+
+        ts_w = ts_key(pc.min(rows["warc_ts"]).as_py())
+        new = copy.copy(self)
+        new.instants = self.instants.filtered(lambda k: k < ts_w)
+        new.query_cache = self.query_cache.filtered(lambda key: key[0] < ts_w)
+        return new
 
     # -------------------------------------------------- instant cache
     def _entry(self, k: int) -> "tuple[dict, bool]":

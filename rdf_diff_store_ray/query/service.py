@@ -112,6 +112,14 @@ class PartitionReaderActor:
     def __init__(self, delta_dir: str, pid: int):
         self.reader = DiffStoreReader(deltas.read_log(delta_dir, [pid]))
 
+    def extend(self, rows: pa.Table) -> None:
+        """Take in a write's delta rows of this partition
+        (:meth:`..query.bgp.DiffStoreReader.extended`): cache entries
+        before the write's first second, push-down ones included, stay
+        warm. An actor runs one call at a time, so no read is in
+        flight."""
+        self.reader = self.reader.extended(rows)
+
     def query_at(self, ts, query: str) -> pd.DataFrame:
         return self.reader.query_at(ts, query)
 
@@ -246,10 +254,35 @@ class QueryService(AsOfReads):
         pids = deltas.partitions(delta_dir)
         if not pids:
             raise ValueError(f"no delta partitions under {delta_dir!r}")
+        self.delta_dir = delta_dir
         self.num_partitions = deltas.num_partitions(delta_dir)
         self.actors = [PartitionReaderActor.remote(delta_dir, pid)
                        for pid in pids]
         self._actor_of = dict(zip(pids, self.actors))
+
+    def extended(self, rows: pa.Table) -> "QueryService":
+        """The router after a write of the delta ``rows``, as a new
+        router over the same actors (:meth:`.front.AsOfReads._successor`
+        keeps the cache entries before the write): each actor whose
+        partition the rows touch takes in its share, and a partition
+        that had no directory gets an actor. Untouched actors are not
+        called. A read still running on ``self`` may see some
+        partitions before the write and some after it."""
+        if not rows.num_rows:
+            return self
+        new = self._successor(rows)
+        new._actor_of = dict(self._actor_of)
+        done = []
+        for pid in pc.unique(rows["partition_id"]).to_pylist():
+            if pid in new._actor_of:
+                part = rows.filter(pc.equal(rows["partition_id"], pid))
+                done.append(new._actor_of[pid].extend.remote(part))
+            else:
+                new._actor_of[pid] = PartitionReaderActor.remote(
+                    self.delta_dir, pid)
+        new.actors = [new._actor_of[pid] for pid in sorted(new._actor_of)]
+        ray.get(done)
+        return new
 
     def _owners(self, graph_id: str) -> list:
         """The actor of the partition that owns ``graph_id`` by the

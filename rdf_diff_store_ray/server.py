@@ -34,10 +34,18 @@ Semantics mirrored from the reference, not its code:
   clients; absent, the server clock is used (the reference commits at
   wall-clock time too, ``src/git.rs:151-161``).
 
-The store may be a path or a ``file://``/``mocks3://`` URI: every
-(re)load opens the log through :func:`.stages.deltas.read_log` (or, with
+The store may be a path or a ``file://``/``mocks3://`` URI: every load
+opens the log through :func:`.stages.deltas.read_log` (or, with
 ``distributed=True``, the router's per-pid actors), the same door the
-writes go through.
+writes go through. A write refreshes the state the server holds instead
+of dropping it (the reference keeps its query caches across the fetches
+that bring in new commits, ``src/query.rs:28-99``): the commit's own
+rows extend the held reader, and every cached instant before the write
+stays warm. Only when the log's files are no longer the held ones plus
+that commit's segments (another writer, compaction, truncation, a
+replica sync) is the reader dropped and reloaded on the next read.
+``/metrics`` counts the two outcomes (``store_refresh_total``) and
+times the refresh (``store_refresh_seconds``).
 
 This is an application entry point like the CLI: it owns no Ray session
 (writes commit in this process and need none) and the injectable
@@ -69,18 +77,23 @@ def _bounds_json(lo, hi) -> dict:
 
 
 class StoreBackend:
-    """Shared state behind the handlers: a lazily (re)opened reader over
-    the delta log, dropped after every successful write. The reader is
-    the in-process :class:`..query.bgp.DiffStoreReader`, or with
+    """Shared state behind the handlers: a lazily opened reader over the
+    delta log, refreshed by every successful write. The reader is the
+    in-process :class:`..query.bgp.DiffStoreReader`, or with
     ``distributed=True`` a :class:`..query.service.QueryService` — one
     partition-reader actor per partition pid, so the HTTP process never
     holds the store (the 100× role split: this process is the
     reference's thin actix layer, the actors its repo pool of 32
     readers, ``src/bin/rdf-query-cache.rs:137,170``). Both answer
     through the same front door (:mod:`.query.front`), so routes, cache
-    levels and formats are identical; dropping the router restarts the
-    actor pool (the next read reloads the log, the fetch-updates
-    analog)."""
+    levels and formats are identical.
+
+    The backend remembers the log's listing (:func:`.stages.deltas.listing`)
+    as of its load. After a write it swaps in the reader's ``extended``
+    successor — the router's keeps its actors — when the log now lists
+    exactly those files plus one new segment per partition the commit
+    wrote; otherwise it drops the reader (:meth:`invalidate`; the router
+    and its actors shut down) and the next read reloads the log."""
 
     def __init__(self, delta_dir: str, *, prefixes: dict | None = None,
                  services: dict | None = None, distributed: bool = False):
@@ -92,6 +105,7 @@ class StoreBackend:
         self.distributed = distributed
         self._lock = threading.Lock()
         self._reader = None
+        self._files = None  # the log's listing as of the reader's load
 
     def invalidate(self) -> None:
         with self._lock:
@@ -103,18 +117,28 @@ class StoreBackend:
         self.invalidate()
 
     def reader(self):
+        from .stages.deltas import listing
+
         with self._lock:
             if self._reader is None:
+                files = listing(self.delta_dir)
                 if self.distributed:
                     from .query.service import QueryService
 
-                    self._reader = QueryService(self.delta_dir,
-                                                services=self.services)
+                    reader = QueryService(self.delta_dir,
+                                          services=self.services)
+                    reader.metadata()  # every actor has read its partition
                 else:
                     from .query.bgp import DiffStoreReader
 
-                    self._reader = DiffStoreReader(
-                        self._load(), services=self.services)
+                    reader = DiffStoreReader(self._load(),
+                                             services=self.services)
+                # the held files are known only when none changed while
+                # they were read (a commit may land mid-load); unknown,
+                # the next refresh reloads
+                self._files = files if listing(self.delta_dir) == files \
+                    else None
+                self._reader = reader
             return self._reader
 
     def _load(self):
@@ -154,25 +178,53 @@ class StoreBackend:
         return self.store_graphs([graph], ts)
 
     def store_graphs(self, graphs: list, ts: int) -> int:
-        """One atomic multi-graph commit (append_graphs pre-validates
-        all-or-nothing under the writer lock)."""
-        from .state.append import Graph, append_graphs
+        """One atomic multi-graph commit (validated all-or-nothing under
+        the writer lock). Returns the number of deltas written."""
+        from .state import append
 
         batch = {
-            g["id"]: Graph(id=g["id"], graph=g["graph"],
-                           format=g.get("format"))
+            g["id"]: append.Graph(id=g["id"], graph=g["graph"],
+                                  format=g.get("format"))
             for g in graphs
         }
-        n = append_graphs(self.delta_dir, batch, ts)
-        self.invalidate()
-        return n
+        return self._refresh(append.commit(self.delta_dir, batch, (), ts))
 
     def delete_graph(self, graph_id: str, ts: int) -> int:
-        from .state.append import delete_graphs
+        from .state import append
 
-        n = delete_graphs(self.delta_dir, [graph_id], ts)
-        self.invalidate()
-        return n
+        return self._refresh(append.commit(self.delta_dir, {}, [graph_id],
+                                           ts))
+
+    def _refresh(self, rows) -> int:
+        """Bring the held reader up to date with a commit that wrote
+        ``rows``: extend it when the log's files are exactly the held
+        ones plus one new segment per partition in ``rows``, else (or
+        when the extension fails) drop it. Returns the number of rows."""
+        import pyarrow.compute as pc
+
+        from .metrics import BUCKETS_FAST, REGISTRY
+        from .stages.deltas import appended, listing
+
+        t0 = time.monotonic()
+        outcome = "reload"
+        try:
+            with self._lock:
+                if self._reader is None:
+                    outcome = None  # nothing held: the next read loads
+                    return rows.num_rows
+                now = listing(self.delta_dir)
+                if self._files is not None and appended(
+                        self._files, now) == sorted(
+                            pc.unique(rows["partition_id"]).to_pylist()):
+                    self._reader = self._reader.extended(rows)
+                    self._files, outcome = now, "extend"
+        finally:
+            if outcome == "reload":
+                self.invalidate()
+        REGISTRY.counter_inc("store_refresh_total", f'outcome="{outcome}"')
+        REGISTRY.observe("store_refresh_seconds", time.monotonic() - t0,
+                         "Held-reader refresh after a write", BUCKETS_FAST)
+        return rows.num_rows
 
 
 _RESULT_TYPES = (  # Accept substring → (format, content type)

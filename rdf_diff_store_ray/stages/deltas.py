@@ -234,11 +234,39 @@ def partitions(delta_dir: str) -> list:
                   and os.path.isdir(os.path.join(root, name)))
 
 
+def listing(delta_dir: str) -> dict:
+    """``(pid, path)`` of every data file of the log → its listing
+    signature (:func:`..fs.stat_sig`): what a reader that reads the log
+    after this call holds."""
+    root = fs.local(delta_dir)
+    return {(pid, f): fs.stat_sig(f) for pid in partitions(root)
+            for f in segment_files(root, pid)}
+
+
+def appended(held: dict, now: dict) -> "list | None":
+    """The pid of each file listed in ``now`` but not in ``held`` (two
+    :func:`listing` results), sorted; None when a file of ``held`` is
+    gone or changed — the log was rewritten, not appended to."""
+    if any(now.get(key) != sig for key, sig in held.items()):
+        return None
+    return sorted(pid for pid, _ in now.keys() - held.keys())
+
+
+def _success(delta_dir: str) -> dict:
+    with open(os.path.join(fs.local(delta_dir), SUCCESS_NAME)) as f:
+        return json.load(f)
+
+
 def num_partitions(delta_dir: str) -> int:
     """The log's partition count P (``hash(graph_id) % P`` owns each
     graph), from its ``_SUCCESS`` marker."""
-    with open(os.path.join(fs.local(delta_dir), SUCCESS_NAME)) as f:
-        return int(json.load(f)["num_partitions"])
+    return int(_success(delta_dir)["num_partitions"])
+
+
+def snapshot_times(delta_dir: str) -> list:
+    """The crawl instants (unix seconds) the log's builds covered, from
+    its ``_SUCCESS`` marker (empty for a store only ever appended to)."""
+    return [int(t) for t in _success(delta_dir).get("snapshot_times") or []]
 
 
 def footer_stats(path: str) -> tuple:

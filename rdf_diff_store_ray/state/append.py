@@ -148,11 +148,12 @@ _NEW_COLS = ("graph_id", "warc_ts", "op", "delta_text", "digest")
 
 
 def _append_rows(delta_dir: str, pid: int, current: pa.Table, new,
-                 t0: float) -> None:
+                 t0: float) -> pa.Table:
     """Write ``new`` (a non-empty mapping of :data:`_NEW_COLS` to
     equal-length columns, ``warc_ts`` in unix seconds or datetimes) as
     partition ``pid``'s next log segment, ``seq`` continuing the replay
-    order of ``current`` (the partition as read for this write)."""
+    order of ``current`` (the partition as read for this write). Returns
+    the rows written."""
     import time
 
     n = len(new["graph_id"])
@@ -171,6 +172,7 @@ def _append_rows(delta_dir: str, pid: int, current: pa.Table, new,
     merged = pa.concat_tables([current, add]).cast(DELTAS)
     deltas_mod.append_segment(delta_dir, pid, add, merged,
                               wall_s=time.monotonic() - t0)
+    return add
 
 
 class LogLockedError(RuntimeError):
@@ -287,11 +289,13 @@ class StoreWriteLock:
         return False
 
 
-def commit(delta_dir: str, graphs: dict, deleted, ts: int) -> int:
+def commit(delta_dir: str, graphs: dict, deleted, ts: int) -> pa.Table:
     """One commit at unix-seconds ``ts``: upsert ``graphs`` (as
     :func:`append_graphs`) and tombstone ``deleted`` (as
     :func:`delete_graphs`) all-or-nothing, under one write lock. A graph
-    may not be in both. Returns the number of deltas written."""
+    may not be in both. Returns the delta rows written (``DELTAS``, in
+    pid then commit order) — what a held reader extends by
+    (:meth:`..query.bgp.DiffStoreReader.extended`)."""
     delta_dir = fs.local(delta_dir)
 
     deleted = sorted(set(deleted))
@@ -313,11 +317,11 @@ def commit(delta_dir: str, graphs: dict, deleted, ts: int) -> int:
         return _apply_locked(delta_dir, ops, int(ts))
 
 
-def _apply_locked(delta_dir: str, ops: list, ts: int) -> int:
+def _apply_locked(delta_dir: str, ops: list, ts: int) -> pa.Table:
     """Apply ``ops`` (``(graph_id, op, canonical text)`` in commit
     order) at ``ts``: read each touched partition once, validate every
     op against that read, then write one segment per partition that
-    changes."""
+    changes. Returns the rows written."""
     import time
 
     t0 = time.monotonic()
@@ -335,7 +339,7 @@ def _apply_locked(delta_dir: str, ops: list, ts: int) -> int:
     # raises with zero bytes changed (partial application would be
     # unrecoverable)
     _check_monotone("append", ((gid, ts) for gid, _, _ in ops), latest, "")
-    applied = 0
+    written = [DELTAS.empty_table()]
     for pid, table in current.items():
         new = []
         for gid, op, text in by_pid[pid]:
@@ -350,10 +354,9 @@ def _apply_locked(delta_dir: str, ops: list, ts: int) -> int:
                 # otherwise a no-op: suppressed (src/graphs.rs:52-61)
                 new.append((gid, ts, OP_UPDATE, text, digest))
         if new:
-            _append_rows(delta_dir, pid, table,
-                         dict(zip(_NEW_COLS, zip(*new))), t0)
-            applied += len(new)
-    return applied
+            written.append(_append_rows(delta_dir, pid, table,
+                                        dict(zip(_NEW_COLS, zip(*new))), t0))
+    return pa.concat_tables(written)
 
 
 def append_graphs(delta_dir: str, graphs: dict, ts: int) -> int:
@@ -374,7 +377,7 @@ def append_graphs(delta_dir: str, graphs: dict, ts: int) -> int:
     stored as that typed literal (see ``ntriples.format_line``). Pass
     such values through document text (where they arrive escaped) if the
     plain reading is intended."""
-    return commit(delta_dir, graphs, (), ts)
+    return commit(delta_dir, graphs, (), ts).num_rows
 
 
 _SEED_MARKER = "\x00__partition_seed__"
@@ -581,4 +584,4 @@ def _truncate_locked(delta_dir: str, before_ts: int) -> int:
 def delete_graphs(delta_dir: str, graph_ids, ts: int) -> int:
     """Tombstone each currently-live graph at ``ts``; absent graphs are
     no-ops. Returns the number of tombstones written."""
-    return commit(delta_dir, {}, graph_ids, ts)
+    return commit(delta_dir, {}, graph_ids, ts).num_rows

@@ -159,18 +159,31 @@ class Versions:
         the distinct lines of all of them sorted bytewise, and per text
         the ids of its lines into ``lines``, in text order."""
         if self._dictionary is None:
-            texts = pc.unique(self.rows["delta_text"])
-            ex = explode_lines(pa.table({
-                "delta_text": texts,
-                "text": pa.array(np.arange(len(texts)), pa.int64())}),
-                ["text"])
-            uniq = pc.unique(ex["line"])
-            lines = uniq.take(pc.sort_indices(uniq))
-            counts = np.bincount(ex["text"].to_numpy(), minlength=len(texts))
-            self._dictionary = texts, lines, pa.LargeListArray.from_arrays(
-                pa.array(np.r_[0, np.cumsum(counts)], pa.int64()),
-                pc.index_in(ex["line"], value_set=lines).combine_chunks())
+            self._dictionary = _add_texts(None, self.rows["delta_text"])[0]
         return self._dictionary
+
+    def extend(self, rows: pa.Table) -> "Versions":
+        """This table with ``rows`` (a write's new delta rows) added, as
+        a new object equal to a prepare of the whole: each new row
+        closes its graph's open interval at its second and opens the
+        next. Of the dictionary and its parse, when built, only the new
+        distinct lines are exploded, merged in and parsed; the existing
+        line ids are remapped. ``self`` is unchanged: concurrent reads
+        may still hold it."""
+        out = Versions(pa.concat_tables(
+            [self.rows, rows.select(self.rows.schema.names)
+             .cast(self.rows.schema)]))
+        if self._dictionary is None:
+            return out
+        out._dictionary, fresh, perm = _add_texts(self._dictionary,
+                                                  rows["delta_text"])
+        out._triples = self._triples
+        if self._triples is not None and len(fresh):
+            parsed = pa.concat_tables([self._triples[0],
+                                       pa.table(_parse_lines(fresh))])
+            parsed = parsed.take(perm)
+            out._triples = parsed, _triple_order(parsed)
+        return out
 
     @property
     def lines(self) -> pa.Array:
@@ -192,8 +205,7 @@ class Versions:
         triple order."""
         if self._triples is None:
             parsed = pa.table(_parse_lines(self.lines))
-            self._triples = parsed, pc.sort_indices(parsed, sort_keys=[
-                (name, "ascending") for name, _ in _TRIPLE]).to_numpy()
+            self._triples = parsed, _triple_order(parsed)
         return self._triples
 
 
@@ -260,6 +272,50 @@ def _parse_lines(lines) -> dict:
     rows = ntriples.parse(_joined(lines))
     cols = list(zip(*rows)) if rows else [()] * len(_TRIPLE)
     return {name: pa.array(col, typ) for (name, typ), col in zip(_TRIPLE, cols)}
+
+
+def _add_texts(dictionary, texts) -> tuple:
+    """``(dictionary, fresh, perm)``: ``dictionary`` (as
+    :attr:`Versions.dictionary`; None for the empty one) with the
+    distinct version ``texts`` it lacks added. Only those texts are
+    exploded, and only their lines that it lacks (``fresh``) are merged
+    into the sorted lines; ``perm`` takes its old lines then ``fresh``
+    into the merged order, and the old line ids are remapped by it."""
+    add = pc.unique(texts)
+    if dictionary is not None:
+        add = add.filter(pc.invert(pc.is_in(add, value_set=dictionary[0])))
+    ex = explode_lines(pa.table({
+        "delta_text": add,
+        "text": pa.array(np.arange(len(add)), pa.int64())}), ["text"])
+    fresh = pc.unique(ex["line"])
+    if dictionary is None:
+        dictionary = (add.slice(0, 0), fresh.slice(0, 0),
+                      pa.LargeListArray.from_arrays(
+                          pa.array([0], pa.int64()), pa.array([], pa.int32())))
+    known, lines, text_lines = dictionary
+    fresh = fresh.filter(pc.invert(pc.is_in(fresh, value_set=lines)))
+    merged = pa.concat_arrays([lines, fresh.cast(lines.type)])
+    perm = pc.sort_indices(merged)
+    new_id = np.empty(len(merged), np.int32)
+    new_id[perm.to_numpy()] = np.arange(len(merged), dtype=np.int32)
+    lines = merged.take(perm)
+    counts = np.bincount(ex["text"].to_numpy(), minlength=len(add))
+    offsets = text_lines.offsets.to_numpy()
+    return (pa.concat_arrays([known, add.cast(known.type)]), lines,
+            pa.LargeListArray.from_arrays(
+                pa.array(np.r_[offsets, offsets[-1] + np.cumsum(counts)],
+                         pa.int64()),
+                pa.concat_arrays([
+                    pa.array(new_id[text_lines.values.to_numpy()],
+                             pa.int32()),
+                    pc.index_in(ex["line"], value_set=lines)
+                    .combine_chunks()]))), fresh, perm
+
+
+def _triple_order(parsed: pa.Table) -> np.ndarray:
+    """The row ids of ``parsed`` in sorted triple order."""
+    return pc.sort_indices(parsed, sort_keys=[
+        (name, "ascending") for name, _ in _TRIPLE]).to_numpy()
 
 
 def _live_line_mask(v: Versions, ts) -> np.ndarray:

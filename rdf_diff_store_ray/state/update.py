@@ -499,7 +499,8 @@ def _graph_management(store: str, u: dict, deltas, ts: int) -> dict:
     upsert = ({dst: sorted(new)} if new != dst_set or dst not in cur_text
               else {})
     moved = [src] if form == "move_graph" else []
-    graphs = commit(store, upsert, moved, ts) if upsert or moved else 0
+    graphs = commit(store, upsert, moved, ts).num_rows \
+        if upsert or moved else 0
     return {"form": form, "graphs": graphs, "added": added,
             "removed": removed}
 

@@ -3,8 +3,9 @@
 Runs N pairs, each pair one run in each of two checkouts on the same
 seed, alternating which side goes first, and prints per side the median
 and quartiles of every end-to-end metric of ``BENCHMARK.json``, how many
-pairs the change won, the per-kind p50s of the record line, and the load
-and CPU steal each run saw. Nothing under ``perfbench/`` is changed.
+pairs the change won, the per-kind p50s of the record line, the
+writes per run and the store's final size where the workload writes,
+and the load and CPU steal each run saw. Nothing under ``perfbench/`` is changed.
 
     python3 scripts/perf_pairs.py --parent ../parent --change . \\
         --workload router_cold --seeds 1,2,3,8,9,10,11,12,13 \\
@@ -90,6 +91,13 @@ def report(rows: list) -> None:
               f"{'/'.join(f'{x:.4g}' for x in qa):>32}"
               f"{'/'.join(f'{x:.4g}' for x in qb):>32}"
               f"{rel:>+11.1%}{wins:>5}/{len(pairs)}")
+    # a run that goes faster writes more: its commits meet more
+    # segments and its store ends larger (http_serve)
+    counts = [k for k in ("writes", "store_bytes_after_writes") if k in rec0]
+    for k in counts:
+        med = [statistics.median(r["record"][k] for r in by[s]
+                                 if k in r["record"]) for s in sides]
+        print(f"{k} (median over runs): {med[0]:.6g} -> {med[1]:.6g}")
     kinds = sorted(k for k in rec0 if k.endswith("_p50_ms"))
     if kinds:
         print("per-kind p50 ms (median over runs), parent -> change:")

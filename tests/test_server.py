@@ -168,7 +168,8 @@ def test_read_only_role(ray_session, tmp_path):
 def test_distributed_backend_parity(ray_session, tmp_path):
     """distributed=True (QueryService actors behind the same handlers)
     answers every read route identically to the single-reader backend,
-    and write-invalidation restarts the actor pool."""
+    and a write keeps the actor pool: the owning actor takes in the
+    commit's rows, so every handle survives."""
     from rdf_diff_store_ray.server import DiffStoreServer
     from rdf_diff_store_ray.state.append import append_graphs, init_log
 
@@ -201,11 +202,17 @@ def test_distributed_backend_parity(ray_session, tmp_path):
                       ["Cache-Level"] for _ in range(3)]
             assert levels == ["Nothing", "Query", "Query"], base
 
-        # a write through the distributed server restarts the pool and
-        # the next read sees it
+        # a write through the distributed server keeps every actor
+        # handle, and the next read sees it
+        def handles():
+            return {pid: a._actor_id
+                    for pid, a in dist.backend.reader()._actor_of.items()}
+
+        before = handles()
         _req("POST", f"{b2}/api/graphs",
              {"id": "g-new", "graph": G_B, "timestamp": T3},
              {"X-API-KEY": "k"})
+        assert handles() == before
         _, _, body = _req("GET", f"{b2}/api/graphs/{T3}?id=g-new")
         assert body == G_B
     finally:

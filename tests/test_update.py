@@ -298,7 +298,7 @@ def test_update_roundtrip_property(ray_session, tmp_path):
     counter = [0]
 
     @given(st.lists(quad, min_size=1, max_size=10))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     def check(qs):
         counter[0] += 1
         store = init_log(str(tmp_path / f"d{counter[0]}"), num_partitions=2)
