@@ -1909,12 +1909,12 @@ def eval_bgp(triples: pa.Table, query: "str | dict",
              finalize: bool = True) -> pd.DataFrame:
     """Evaluate a SPARQL-subset query against an Arrow triple table
     (``subj, pred, obj, obj_is_literal``; ``quads`` adds ``graph_id``
-    for GRAPH and FROM). Binding sets are Arrow tables from the pattern
-    scan (:func:`eval_one_pattern`) through the joins, GROUP BY and
-    finalization; the one ``to_pandas()`` is of the final answer. Returns
-    distinct bindings, one column per variable, sorted for determinism —
-    or, with ``finalize=False``, the tagged frame. Unbound OPTIONAL
-    variables are ``None`` (omitted in the SPARQL-JSON form).
+    for GRAPH and FROM): the in-process backend of :func:`answer_group`,
+    whose pattern scans are :func:`eval_one_pattern` over ``triples``
+    and :func:`eval_pattern_in_graph` over ``quads``. Returns distinct
+    bindings, one column per variable, sorted for determinism — or, with
+    ``finalize=False``, the tagged frame. Unbound OPTIONAL variables are
+    ``None`` (omitted in the SPARQL-JSON form).
 
     A variable binds an RDF *term*, not a lexical form: bindings are
     carried internally as tag-prefixed strings (see
@@ -1922,61 +1922,75 @@ def eval_bgp(triples: pa.Table, query: "str | dict",
     literal ``"x"`` never joins the IRI ``<x>`` — across patterns AND for
     a variable repeated within one pattern (``?s <p> ?s`` = self-loops).
 
-    ``finalize=False`` returns the TAGGED frame instead of the
-    finalized one — the engine-to-engine federation wire needs term
-    KIND, which finalization deliberately drops. Plain SELECT groups
-    only (:func:`_tagged_result`).
-
     ``query`` is the query text or its :func:`parse_query` group."""
     group = parse_query(query) if isinstance(query, str) else query
-    service_eval = service_evaluator(service_tables)
-    fg, fn = group.get("from_graphs"), group.get("from_named")
-    if fg or fn:
-        # explicit dataset: default graph = set-union of the FROM graphs
-        # (the engine's merged-store semantics, same as graphs_at), named
-        # graphs = exactly the FROM NAMED list — a GRAPH clause no longer
-        # sees graphs outside it, and the default graph is empty when
-        # only FROM NAMED is given, per the SPARQL dataset rules
-        if quads is None:
-            raise ValueError(
-                "query has a FROM/FROM NAMED clause but no quad table "
-                "was supplied"
-            )
-        gid = quads["graph_id"]
-
-        def among(names):
-            return quads.filter(pc.is_in(gid, pa.array(names or [],
-                                                       gid.type)))
-
-        # a scan's bindings are distinct, so a triple held by several
-        # FROM graphs matches once
-        default = among(fg)
-        named = among(fn)
-        source = lambda pat: eval_one_pattern(default, pat)  # noqa: E731
-        gsource = lambda pat, gt: eval_pattern_in_graph(named, pat, gt)  # noqa: E731
-        if not finalize:
-            return _tagged_result(
-                eval_group(group, source, gsource, service_eval), group)
-        return finish_query(
-            eval_group(group, source, gsource, service_eval), group,
-            source)
-    source = lambda pat: eval_one_pattern(triples, pat)  # noqa: E731
 
     # GRAPH clauses may sit anywhere in the group tree (OPTIONAL/UNION
     # branches included), so a missing quad table errors only when a
-    # GRAPH pattern is actually reached
-    def gsource(pat, gt):
+    # graph scan is actually reached
+    def graph_scan(pat, gt, graphs=None):
         if quads is None:
-            raise ValueError(
-                "query has a GRAPH clause but no quad table was supplied"
-            )
-        return eval_pattern_in_graph(quads, pat, gt)
+            raise ValueError("query has a GRAPH or FROM clause but no quad "
+                             "table was supplied")
+        return eval_pattern_in_graph(quads, pat, gt, graphs)
 
+    return answer_group(group, lambda pat: eval_one_pattern(triples, pat),
+                        graph_scan, service_tables, finalize)
+
+
+_FROM = "__from"  # graph variable of a FROM scan; user names never start "__"
+
+
+def answer_group(group: dict, scan, graph_scan, endpoints=None,
+                 finalize: bool = True) -> pd.DataFrame:
+    """The one query driver: a parsed group → its answer. A backend
+    supplies only how one pattern is scanned, as a tagged Arrow binding
+    set: ``scan(pattern)`` over the store's default graph (the union of
+    its live graphs; property paths included) and ``graph_scan(pattern,
+    gterm, graphs=None)`` inside ``GRAPH gterm`` over its named graphs,
+    or only those named in ``graphs`` (:func:`eval_pattern_in_graph`). The
+    in-process reader scans its per-instant tables (:func:`eval_bgp`),
+    the router gathers from its partition actors
+    (:meth:`.service.QueryService._evaluate`). Held here once:
+
+    - the dataset rules: with FROM / FROM NAMED, the default graph is
+      the set-union of the FROM graphs (empty when only FROM NAMED is
+      given; a property path closes over the union's edges), and GRAPH
+      sees exactly the FROM NAMED graphs;
+    - SERVICE endpoints (:func:`service_evaluator`);
+    - the group algebra (:func:`eval_group`) and the answer's form
+      (:func:`finish_query`), or with ``finalize=False`` the TAGGED
+      bindings the engine-to-engine federation wire needs
+      (:func:`_tagged_result`)."""
+    source, gsource = scan, graph_scan
+    fg = group.get("from_graphs") or []
+    fn = group.get("from_named") or []
+    if fg or fn:
+        def from_scan(pat):
+            # one scan over the FROM graphs; a triple held by several of
+            # them matches once
+            out = graph_scan(pat, ("var", _FROM), fg).drop_columns([_FROM])
+            return _first_rows(out) if out.num_columns \
+                else _unit(min(out.num_rows, 1))
+
+        def source(pat):
+            if not fg:
+                return empty_bindings(pat)
+            if pat[1][0] == "path":
+                return path_bindings(pat, from_scan)
+            return from_scan(pat)
+
+        def gsource(pat, gt):
+            if gt[0] == "iri":
+                return graph_scan(pat, gt) if gt[1] in fn \
+                    else empty_bindings(pat)
+            return graph_scan(pat, gt, fn)
+
+    service_eval = service_evaluator(endpoints)
+    result = eval_group(group, source, gsource, service_eval)
     if not finalize:
-        return _tagged_result(
-            eval_group(group, source, gsource, service_eval), group)
-    return finish_query(eval_group(group, source, gsource, service_eval),
-                        group, source)
+        return _tagged_result(result, group)
+    return finish_query(result, group, source, gsource, service_eval)
 
 
 def _tagged_result(result: pa.Table, group: dict) -> pd.DataFrame:
@@ -2125,13 +2139,11 @@ def service_evaluator(endpoints: "dict | None"):
     return service_eval
 
 
-def finish_query(result: pa.Table, group: dict,
-                 pattern_bindings=None) -> pd.DataFrame:
+def finish_query(result: pa.Table, group: dict, pattern_bindings,
+                 graph_bindings, service_eval) -> pd.DataFrame:
     """Tagged group bindings → the query form's final frame: ASK boolean,
-    CONSTRUCT / DESCRIBE triple frame, or SELECT/bare bindings (shared by
-    the local evaluator and the distributed router). DESCRIBE needs the
-    caller's ``pattern_bindings`` source to fetch each described
-    resource's triples (local frame scan or distributed push-down).
+    CONSTRUCT / DESCRIBE triple frame, or SELECT/bare bindings. DESCRIBE
+    fetches each described resource's triples from ``pattern_bindings``.
     GROUP BY and finalization run in Arrow; HAVING and projection
     expressions are the pandas operator block."""
     if group.get("ask"):
@@ -2139,15 +2151,13 @@ def finish_query(result: pa.Table, group: dict,
     if group.get("construct") is not None:
         return construct_triples(_frame(result), group["construct"])
     if group.get("describe") is not None:
-        if pattern_bindings is None:
-            raise ValueError("DESCRIBE needs a pattern_bindings source")
         return describe_triples(_frame(result), group["describe"],
                                 pattern_bindings)
     # projection / aggregate / ORDER BY expressions may carry EXISTS —
-    # keep a group-evaluation context alive while they materialize
-    if pattern_bindings is not None:
-        _exists_stack().append(
-            lambda g: eval_group(g, pattern_bindings))
+    # keep the group's evaluation context (its GRAPH and SERVICE sources
+    # included) alive while they materialize
+    _exists_stack().append(lambda g: eval_group(
+        g, pattern_bindings, graph_bindings, service_eval))
     try:
         if group.get("aggregates") or group.get("group_by"):
             result = aggregate_bindings(
@@ -2162,8 +2172,7 @@ def finish_query(result: pa.Table, group: dict,
                                projection=True)
         return finalize_bindings(result, group)
     finally:
-        if pattern_bindings is not None:
-            _exists_stack().pop()
+        _exists_stack().pop()
 
 
 def _having_true(row: dict, flt) -> bool:
@@ -3001,21 +3010,12 @@ def format_pattern(pattern) -> str:
 
 
 # ------------------------------------------------------ property paths -----
-def graph_node_terms(table: pa.Table, endpoint_terms=()) -> pa.Array:
+def graph_node_terms(table: pa.Table) -> pa.Array:
     """Distinct TAGGED terms of a triple table (subjects ∪ objects, in
-    first-appearance order) plus any constant endpoint terms — the
-    zero-length-path universe for ``*``/``?`` (the spec's ALP evaluation
-    starts from a bound endpoint even when it does not occur in the
-    graph)."""
+    first-appearance order): its share of the zero-length-path universe
+    for ``*``/``?``."""
     subj, obj = _tag(table, "subj"), _tag(table, "obj")
-    extras = [
-        ("I" if kind == "iri" else "L") + val
-        for kind, val in endpoint_terms
-        if kind in ("iri", "lit")
-    ]
-    terms = pa.chunked_array(
-        subj.chunks + obj.chunks + [pa.array(extras, subj.type)], subj.type)
-    return pc.unique(terms)
+    return pc.unique(pa.chunked_array(subj.chunks + obj.chunks, subj.type))
 
 
 def _pairs(start, end) -> pa.Table:
@@ -3023,18 +3023,43 @@ def _pairs(start, end) -> pa.Table:
     return pa.table({"__s": start, "__o": end})
 
 
-def path_edges_from_frame(table: pa.Table, iri) -> pa.Table:
-    """(start, end) TAGGED pairs for one predicate — or, given
-    ``("not", iris)``, for every predicate outside the set (negated
-    property sets) — in a triple table, distinct, in first-appearance
-    order."""
-    pred = table["pred"]
-    if isinstance(iri, tuple) and iri[0] == "not":
-        sub = table.filter(pc.invert(
-            pc.is_in(pred, pa.array(list(iri[1]), pred.type))))
-    else:
-        sub = table.filter(pc.equal(pred, iri))
-    return _first_rows(_pairs(_tag(sub, "subj"), _tag(sub, "obj")))
+_ANY_EDGE = (("var", "_ps"), ("var", "_pp"), ("var", "_po"))
+
+
+def path_bindings(pattern, scan, nodes=None) -> pa.Table:
+    """A property-path pattern → tagged binding set, closed over the
+    edges ``scan`` finds for its predicates: a transitive chain may
+    cross graphs and partitions, so the closure runs over the union of
+    every source's edges (the same bound a ``?s <p> ?o`` scan has; a
+    negated property set reads every edge, as ``?s ?p ?o`` does).
+    ``nodes()`` gives arrays of the distinct tagged terms that the
+    zero-length step of ``*``/``?`` ranges over; by default, the
+    subjects and objects of every edge. The pattern's constant
+    endpoints join them, per the spec's evaluation from a bound start."""
+    s, p, o = pattern
+
+    def edges_of(iri) -> pa.Table:
+        if isinstance(iri, tuple):  # ("not", iris): a negated property set
+            e = scan(_ANY_EDGE)
+            e = e.filter(pc.invert(pc.is_in(e["_pp"], pa.array(
+                ["I" + i for i in iri[1]], pa.string()))))
+            return _first_rows(_pairs(e["_ps"], e["_po"]))
+        e = scan((("var", "_ps"), ("iri", iri), ("var", "_po")))
+        return _pairs(e["_ps"], e["_po"])
+
+    def nodes_of() -> pa.Array:
+        if nodes is None:
+            e = scan(_ANY_EDGE)
+            terms = e["_ps"].chunks + e["_po"].chunks
+        else:
+            terms = nodes()
+        extras = [("I" if kind == "iri" else "L") + val
+                  for kind, val in (s, o) if kind in ("iri", "lit")]
+        return pc.unique(pa.chunked_array(
+            terms + [pa.array(extras, pa.string())], pa.string()))
+
+    return bindings_from_pairs(eval_path_pairs(p[1], edges_of, nodes_of),
+                               s, o)
 
 
 def _compose(a: pa.Table, b: pa.Table) -> pa.Table:
@@ -3200,14 +3225,19 @@ def eval_subquery(sub: dict, pattern_bindings,
     return res.reset_index(drop=True)
 
 
-def eval_pattern_in_graph(quads: pa.Table, pattern, gterm) -> pa.Table:
+def eval_pattern_in_graph(quads: pa.Table, pattern, gterm,
+                          graphs=None) -> pa.Table:
     """One pattern against a QUAD table (``graph_id`` + triple columns)
     under a ``GRAPH`` term → Arrow binding set: a constant IRI restricts
     to that named graph (the reference's graphs are keyed the same way,
     one per source url); a variable binds the graph id as an IRI term
     alongside the pattern's own variables — the shared graph column then
     keeps every pattern of the GRAPH block in the same graph through the
-    ordinary join algebra."""
+    ordinary join algebra. ``graphs`` (a list of graph ids) keeps the
+    scan to those graphs."""
+    if graphs is not None:
+        quads = quads.filter(pc.is_in(quads["graph_id"], pa.array(
+            graphs, quads["graph_id"].type)))
     kind, val = gterm
     if kind == "iri":
         return eval_one_pattern(
@@ -3291,6 +3321,24 @@ def _first_rows(table: pa.Table) -> pa.Table:
     if not table.num_columns:
         return table
     return table.take(_first_ids(table))
+
+
+def _union(tables: list) -> pa.Table:
+    """The distinct union of one pattern's binding sets from several
+    sources (graphs, partitions), first appearance in list order."""
+    if not tables[0].num_columns:
+        return _unit(min(sum(t.num_rows for t in tables), 1))
+    if len(tables) == 1:
+        return tables[0]
+    return _first_rows(pa.concat_tables(tables))
+
+
+def empty_bindings(pattern, gterm=("iri", None)) -> pa.Table:
+    """What a scan of ``pattern`` (inside ``GRAPH gterm``) returns when
+    nothing matches: no rows, one column per variable in first-occurrence
+    order."""
+    return _empty(list(dict.fromkeys(
+        val for kind, val in (*pattern, gterm) if kind == "var")))
 
 
 def _order(keys) -> pa.Array:
@@ -3386,14 +3434,10 @@ def eval_one_pattern(table: pa.Table, pattern,
     vectorizable representation (string concat / equality / dedup are
     columnar) that also ships compactly between partition actors, while
     still making a literal ``"x"`` never join the IRI ``<x>``."""
-    s, p, o = pattern
-    if p[0] == "path":
-        pairs = eval_path_pairs(
-            p[1],
-            lambda iri: path_edges_from_frame(table, iri),
-            lambda: graph_node_terms(table, (s, o)),
-        )
-        return bindings_from_pairs(pairs, s, o)
+    if pattern[1][0] == "path":
+        return path_bindings(pattern,
+                             lambda pat: eval_one_pattern(table, pat),
+                             lambda: [graph_node_terms(table)])
     is_lit = table["obj_is_literal"]
     mask = None
     var_positions: dict = {}  # var -> [position, ...]

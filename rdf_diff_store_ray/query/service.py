@@ -31,13 +31,12 @@ per-partition-local:
   :func:`..state.reconstruct.union_document` that merges one store's
   live graphs — so every door serves the same bytes, blank-node labels
   included;
-- ``query_at``: a single-pattern query with row-local filters and no
-  nested group is evaluated per partition against that partition's live
-  triples and the bindings are concatenated, deduplicated and sorted
-  (exact — a single pattern never joins across partitions). Any other
-  query (joins, OPTIONAL, EXISTS, SERVICE, …) pushes EACH pattern
-  down the same way and joins the unioned tagged binding sets on the
-  router with the local evaluator's own algebra — router memory is
+- ``query_at``: each pattern is pushed down — scanned per partition
+  against that partition's live triples — and the router unions the
+  tagged binding sets and runs the in-process reader's own driver
+  (:func:`..query.bgp.answer_group`) over them: the same dataset rules,
+  joins, OPTIONAL, EXISTS, SERVICE and finalization. A single pattern
+  never joins across partitions, so the union is exact; router memory is
   bounded by per-pattern selectivity, never by live-state size (an
   unrestricted ``?s ?p ?o`` still transfers everything, exactly as the
   reference's full-store load does, ``src/query.rs:117-145``);
@@ -50,11 +49,10 @@ is what crosses to the router, as Arrow IPC stream bytes (a
 variable-free pattern crosses as its row count: pyarrow drops a
 zero-column table's rows in pickling). One actor call per partition
 carries every pattern of a gather round. The router's gather is
-``concat_tables`` + the kernel's first-appearance distinct, and its
-joins, GROUP BY and finalization are the local evaluator's Arrow
-operators. A push-down call reports its cache level by
-the front door's rule: ``Query`` on a pattern-cache hit, ``Store`` iff
-the instant was materialized, else ``Nothing``.
+``concat_tables`` + the kernel's first-appearance distinct. A push-down
+call reports its cache level by the front door's rule: ``Query`` on a
+pattern-cache hit, ``Store`` iff the instant was materialized, else
+``Nothing``.
 """
 
 from __future__ import annotations
@@ -70,8 +68,7 @@ from .. import fs
 from ..shuffle_utils import partition_ids
 from ..stages import deltas
 from ..state import reconstruct
-from .bgp import (DiffStoreReader, _distinct_sorted, _first_rows, _frame,
-                  _table, _unit)
+from .bgp import DiffStoreReader, _union, _unit
 from .front import AsOfReads, ts_key
 
 
@@ -94,16 +91,6 @@ def _land(part) -> pa.Table:
         pa.ipc.open_stream(part).read_all()
 
 
-def _union(tables: list) -> pa.Table:
-    """The distinct union of per-partition binding sets, first
-    appearance in partition order."""
-    if not tables[0].num_columns:
-        return _unit(min(sum(t.num_rows for t in tables), 1))
-    if len(tables) == 1:
-        return tables[0]
-    return _first_rows(pa.concat_tables(tables))
-
-
 @ray.remote
 class PartitionReaderActor:
     """Delta-log partition ``pid``, loaded once, served with warm
@@ -119,9 +106,6 @@ class PartitionReaderActor:
         warm. An actor runs one call at a time, so no read is in
         flight."""
         self.reader = self.reader.extended(rows)
-
-    def query_at(self, ts, query: str) -> pd.DataFrame:
-        return self.reader.query_at(ts, query)
 
     def graph_at(self, graph_id: str, ts):
         return self.reader.graph_at(graph_id, ts)
@@ -146,7 +130,7 @@ class PartitionReaderActor:
     def pattern_bindings(self, ts, patterns: list) -> list:
         """TAGGED Arrow bindings of each ``(key, pattern)`` against this
         partition's live triples (see :func:`_ship`) — the push-down unit
-        of the distributed multi-pattern path; one call carries every
+        of every routed query; one call carries every
         pattern of a gather round. The router ships each pattern parsed,
         with its ``format_pattern`` text as the cache key (a path AST
         holds lists, so the pattern itself is not hashable)."""
@@ -159,18 +143,18 @@ class PartitionReaderActor:
         return [self._cached(ts, (key, "tagged"), scan(pat))
                 for key, pat in patterns]
 
-    def graph_pattern_bindings(self, ts, pattern, gterm):
+    def graph_pattern_bindings(self, ts, pattern, gterm, graphs=None):
         """TAGGED bindings of one parsed GRAPH-scoped pattern against
-        this partition's live QUADS. Per-partition-local for the same
-        reason plain patterns are: a graph's whole history lives in
-        exactly one partition, so graph-scoped matches never cross
-        partitions."""
+        this partition's live QUADS (only those of ``graphs``, when
+        given). Per-partition-local for the same reason plain patterns
+        are: a graph's whole history lives in exactly one partition, so
+        graph-scoped matches never cross partitions."""
         from .bgp import eval_pattern_in_graph, format_pattern, format_term
 
-        return self._cached(
-            ts, (format_term(gterm), format_pattern(pattern), "graph"),
-            lambda k: _ship(eval_pattern_in_graph(
-                self.reader._at(k, "quads"), pattern, gterm)))
+        key = (format_term(gterm), format_pattern(pattern), "graph",
+               None if graphs is None else tuple(graphs))
+        return self._cached(ts, key, lambda k: _ship(eval_pattern_in_graph(
+            self.reader._at(k, "quads"), pattern, gterm, graphs)))
 
     def node_terms(self, ts) -> bytes:
         """Distinct tagged subject/object terms of this partition's live
@@ -215,25 +199,6 @@ class PartitionReaderActor:
 
     def cache_level(self) -> str:
         return self.reader.last_cache_level
-
-
-def _per_partition(g: dict) -> bool:
-    """True when a query's answer is the sorted, deduplicated union of
-    its per-partition answers: one non-path pattern whose FILTERs are
-    row-local (no nested group anywhere — expression-level EXISTS
-    included — since a nested group may join across partitions), and no
-    solution modifier, which must apply once after the merge. Property
-    paths never qualify: a transitive chain may cross partitions."""
-    from .bgp import walk_groups
-
-    pats = g["patterns"]
-    return (len(pats) == 1 and pats[0][1][0] != "path"
-            and not g.get("values") and not g.get("binds")
-            and all(sub is g for sub in walk_groups(g))
-            and g.get("select") is None and not g.get("distinct")
-            and not g.get("order_by") and g.get("limit") is None
-            and not g.get("offset") and not g.get("ask")
-            and g.get("construct") is None and g.get("describe") is None)
 
 
 class QueryService(AsOfReads):
@@ -284,12 +249,13 @@ class QueryService(AsOfReads):
         ray.get(done)
         return new
 
-    def _owners(self, graph_id: str) -> list:
-        """The actor of the partition that owns ``graph_id`` by the
-        commit's rule, ``hash(graph_id) % P``, as a list: empty when that
-        partition has no directory, so holds no graph."""
-        pid = int(partition_ids([graph_id], self.num_partitions)[0])
-        return [self._actor_of[pid]] if pid in self._actor_of else []
+    def _owners(self, graph_ids: list) -> list:
+        """The actors of the partitions that own ``graph_ids`` by the
+        commit's rule, ``hash(graph_id) % P``, in pid order; a partition
+        with no directory holds no graph and has no actor."""
+        pids = sorted({int(p) for p in
+                       partition_ids(graph_ids, self.num_partitions)})
+        return [self._actor_of[p] for p in pids if p in self._actor_of]
 
     # defined on the class itself, not only inherited: the traced
     # benchmark patches QueryService.__dict__ (perfbench/tracing.py)
@@ -309,172 +275,60 @@ class QueryService(AsOfReads):
 
     def _evaluate(self, g: dict, query: str, k: int,
                   endpoints: "dict | None", finalize: bool) -> pd.DataFrame:
-        # a query the partitions can answer alone runs in the actors and
-        # the answers are unioned; everything else pushes each pattern
-        # down and joins BINDINGS on the router, which never holds live
-        # triples, only per-pattern binding sets. SERVICE endpoints live
-        # on the router, so SERVICE always takes the push-down path.
-        if finalize and not endpoints and (len(self.actors) == 1
-                                           or _per_partition(g)):
-            parts = ray.get([a.query_at.remote(k, query)
-                             for a in self.actors])
-            if not len(parts[0].columns):
-                return _frame(_unit(min(sum(map(len, parts)), 1)))
-            parts = [p for p in parts if len(p)] or parts[:1]
-            if len(parts) == 1:
-                return parts[0]
-            return _frame(_distinct_sorted(
-                pa.concat_tables([_table(p) for p in parts])))
-        return self._push_down(k, g, endpoints, finalize)
-
-    def _push_down(self, ts, group: dict, endpoints: "dict | None",
-                   finalize: bool) -> pd.DataFrame:
-        """Multi-pattern / OPTIONAL evaluation with per-pattern push-down:
-        every pattern is evaluated against each partition's live triples
-        IN the partition actor; the router unions the tagged binding sets
-        and runs the identical join/OPTIONAL/FILTER algebra
-        (:func:`..query.bgp.eval_group`). Correct because a single
-        pattern never joins across partitions, and all cross-pattern
-        joining happens over the unioned bindings. Router memory is
-        bounded by pattern selectivity, not live-state size — a
-        ``?s ?p ?o`` pattern still transfers everything, exactly as the
-        reference's full-store load does (``src/query.rs:117-145``)."""
-        from .bgp import (
-            _empty,
-            _pairs,
-            _tagged_result,
-            bindings_from_pairs,
-            eval_group,
-            eval_path_pairs,
-            finish_query,
-            format_pattern,
-            service_evaluator,
-        )
+        """Gather, then the one driver (:func:`..query.bgp.answer_group`):
+        every pattern is scanned IN the partition actors, and the router
+        unions the tagged binding sets. The router never holds live
+        triples, only per-pattern binding sets."""
+        from . import bgp
 
         gathered: dict = {}
-
-        def _none(pat):
-            return _empty(sorted({v for k, v in pat if k == "var"}))
 
         def gather(pats):
             # one actor call per partition for the whole round
             todo = [(ps, pat) for ps, pat in
-                    dict(zip(map(format_pattern, pats), pats)).items()
+                    dict(zip(map(bgp.format_pattern, pats), pats)).items()
                     if ps not in gathered]
             if todo:
-                parts = ray.get([a.pattern_bindings.remote(ts, todo)
+                parts = ray.get([a.pattern_bindings.remote(k, todo)
                                  for a in self.actors])
                 for i, (ps, _) in enumerate(todo):
                     gathered[ps] = _union([_land(p[i]) for p in parts])
 
-        def gather_pattern(pat):
+        def nodes():
+            # the zero-length step of */?: the partitions' distinct terms
+            # (store-vocabulary-sized, the bound of a ?s ?p ?o gather)
+            return [c for p in ray.get([a.node_terms.remote(k)
+                                        for a in self.actors])
+                    for c in _land(p)["__node"].chunks]
+
+        def gathered_scan(pat):
             gather([pat])
-            return gathered[format_pattern(pat)]
+            return gathered[bgp.format_pattern(pat)]
 
-        def pattern_bindings(pat):
-            s, p, o = pat
-            if p[0] != "path":
-                return gather_pattern(pat)
-            # property path: gather each atomic predicate's EDGES from
-            # all partitions (a transitive chain may cross partitions),
-            # close over the union on the router, then bind s/o —
-            # router memory is bounded by the path predicates' edge
-            # counts, the same bound a ?s <p> ?o pattern already has
-            def edges_of(iri) -> pa.Table:
-                if isinstance(iri, tuple) and iri[0] == "not":
-                    # negated property set: gather ALL edges (the same
-                    # store-bound transfer an unrestricted ?s ?p ?o
-                    # already has) and drop the named predicates
-                    e = gather_pattern(
-                        (("var", "_ps"), ("var", "_pp"), ("var", "_po"))
-                    )
-                    e = e.filter(pc.invert(pc.is_in(
-                        e["_pp"], pa.array(["I" + i for i in iri[1]],
-                                           pa.string()))))
-                    return _first_rows(_pairs(e["_ps"], e["_po"]))
-                e = gather_pattern(
-                    (("var", "_ps"), ("iri", iri), ("var", "_po"))
-                )
-                return _pairs(e["_ps"], e["_po"])
+        def scan(pat):
+            if pat[1][0] == "path":
+                # a transitive chain may cross partitions: gather each
+                # predicate's edges from all of them, close on the router
+                return bgp.path_bindings(pat, gathered_scan, nodes)
+            return gathered_scan(pat)
 
-            def nodes_of() -> pa.Array:
-                # zero-length component of */?: union the partitions'
-                # distinct term vocabularies (store-vocabulary-sized —
-                # the same transfer bound as a ?s ?p ?o gather's terms),
-                # plus the pattern's constant endpoints per the spec
-                parts = [_land(p)["__node"] for p in ray.get(
-                    [a.node_terms.remote(ts) for a in self.actors])]
-                extras = [
-                    ("I" if kind == "iri" else "L") + val
-                    for kind, val in (s, o)
-                    if kind in ("iri", "lit")
-                ]
-                return pc.unique(pa.chunked_array(
-                    [c for p in parts for c in p.chunks]
-                    + [pa.array(extras, pa.string())], pa.string()))
-
-            return bindings_from_pairs(
-                eval_path_pairs(p[1], edges_of, nodes_of), s, o
-            )
-
-        def graph_pattern_in(pat, gterm):
-            """GRAPH-scoped pattern fan-out (constant IRI = pruned to the
-            owning partition, variable = all partitions). Property paths
-            are per-partition evaluable HERE, unlike in the default
-            graph: a path inside GRAPH never crosses graphs, and every
-            graph lives wholly in one partition."""
-            # partition pruning: hash ownership puts a named graph in
-            # exactly one partition (same rule as graph_at)
-            actors = self._owners(gterm[1]) if gterm[0] == "iri" \
-                else self.actors
+        def graph_scan(pat, gterm, graphs=None):
+            # a graph lives wholly in one partition: named graphs are
+            # pruned to their owners, a variable over all graphs fans
+            # out; a path inside GRAPH never crosses graphs, so the
+            # actors evaluate it
+            names = [gterm[1]] if gterm[0] == "iri" else graphs
+            actors = self.actors if names is None else self._owners(names)
             if not actors:
-                return _none(pat)
+                return bgp.empty_bindings(pat, gterm)
             return _union([_land(p) for p in ray.get([
-                a.graph_pattern_bindings.remote(ts, pat, gterm)
-                for a in actors
-            ])])
+                a.graph_pattern_bindings.remote(k, pat, gterm, graphs)
+                for a in actors])])
 
-        fg = group.get("from_graphs") or []
-        fn = group.get("from_named") or []
-        if fg or fn:
-            # explicit dataset: default-graph patterns range over the
-            # union of the FROM graphs (each fetched partition-pruned),
-            # GRAPH clauses only over the FROM NAMED list — mirrors
-            # eval_bgp's dataset rules on the distributed path
-            def pattern_bindings(pat):  # noqa: F811
-                if pat[1][0] == "path":
-                    raise ValueError(
-                        "property paths with FROM are not supported by "
-                        "the distributed service (use DiffStoreReader)"
-                    )
-                if not fg:  # only FROM NAMED: the default graph is empty
-                    return _none(pat)
-                return _union([graph_pattern_in(pat, ("iri", g))
-                               for g in fg])
-
-            def graph_bindings(pat, gterm):
-                if gterm[0] == "iri":
-                    if gterm[1] not in fn:
-                        return _none(pat)
-                    return graph_pattern_in(pat, gterm)
-                out = graph_pattern_in(pat, gterm)
-                gvar = gterm[1]
-                if gvar in out.column_names:
-                    out = out.filter(pc.is_in(out[gvar], pa.array(
-                        ["I" + g for g in fn], pa.string())))
-                return out
-
-        else:
-            graph_bindings = graph_pattern_in
-            # the group's own patterns are all scanned: gather them in
-            # one round
-            gather([p for p in group["patterns"] if p[1][0] != "path"])
-
-        res = eval_group(group, pattern_bindings, graph_bindings,
-                         service_evaluator(endpoints))
-        if not finalize:
-            return _tagged_result(res, group)
-        return finish_query(res, group, pattern_bindings)
+        if not (g.get("from_graphs") or g.get("from_named")):
+            # the group's own default-graph patterns, in one round
+            gather([p for p in g["patterns"] if p[1][0] != "path"])
+        return bgp.answer_group(g, scan, graph_scan, endpoints, finalize)
 
     def graph_at(self, graph_id: str, ts):
         """Point lookup with PARTITION PRUNING: the build's
@@ -482,7 +336,7 @@ class QueryService(AsOfReads):
         this graph — only that partition is touched (the per-graph
         point-read of ``store_graph``'s equality check,
         ``src/graphs.rs:52-58``, served without scanning the store)."""
-        owners = self._owners(graph_id)
+        owners = self._owners([graph_id])
         return ray.get(owners[0].graph_at.remote(graph_id, ts)) \
             if owners else None
 

@@ -27,7 +27,7 @@ Semantics mirrored from the reference, not its code:
 - errors use the reference's JSON error model ``{"message", "error"}``
   (``openapi.yaml`` Error schema).
 - writes serialize through the store's single-writer lock
-  (:class:`..state.append.StoreWriteLock` inside ``append_graphs``),
+  (:class:`..state.append.StoreWriteLock` inside ``append.commit``),
   the pool-of-one the reference uses for atomicity
   (``rdf-diff-writer.rs:25-31``). POST bodies may carry an optional
   ``"timestamp"`` (unix seconds) — an extension for deterministic

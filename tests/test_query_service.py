@@ -23,6 +23,48 @@ def single_reader(built):
     return DiffStoreReader(built.delta_table())
 
 
+@pytest.fixture(scope="module")
+def one_partition(ray_session, built, tmp_path_factory):
+    """A router over the built store rewritten as a one-partition log
+    (one actor), ``seq`` renumbered in the old partitions' replay order."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from rdf_diff_store_ray.query.service import QueryService
+    from rdf_diff_store_ray.stages.deltas import write_partition
+    from rdf_diff_store_ray.state.append import init_log
+
+    store = init_log(str(tmp_path_factory.mktemp("one") / "deltas"),
+                     num_partitions=1)
+    t = built.delta_table()
+    t = t.take(pc.sort_indices(t, sort_keys=[("partition_id", "ascending"),
+                                             ("seq", "ascending")]))
+    n = t.num_rows
+    t = t.set_column(t.schema.get_field_index("partition_id"),
+                     t.schema.field("partition_id"),
+                     pa.array([0] * n, pa.int32()))
+    t = t.set_column(t.schema.get_field_index("seq"), t.schema.field("seq"),
+                     pa.array(range(n), pa.int64()))
+    write_partition(store, 0, t, wall_s=0.0)
+    svc = QueryService(store)
+    assert len(svc.actors) == 1
+    yield svc
+    svc.shutdown()
+
+
+@pytest.fixture(scope="module")
+def backends(ray_session, built):
+    """``server.StoreBackend`` over the built store, in-process and
+    distributed."""
+    from rdf_diff_store_ray.server import StoreBackend
+
+    pair = [StoreBackend(built.delta_dir, distributed=d)
+            for d in (False, True)]
+    yield pair
+    for b in pair:
+        b.close()
+
+
 def _end_ts(single_reader):
     _, hi = single_reader.metadata()
     return int(pd.Timestamp(hi).timestamp())
@@ -40,15 +82,27 @@ def test_graphs_at_matches(service, single_reader):
     assert service.graphs_at(pre) == single_reader.graphs_at(pre) == ""
 
 
-def test_query_at_matches(service, single_reader):
-    from rdf_diff_store_ray.corpus import P_ACQUIRED
+def test_query_at_matches(service, one_partition, single_reader):
+    """The router over four partitions and over one answers as the
+    single reader does: the benchmark's four query shapes, ``SELECT *``
+    over one pattern, a bare pattern and a CONSTRUCT."""
+    from perfbench.oracle_gate import QUERIES
+
+    from rdf_diff_store_ray.corpus import P_ACQUIRED, PROP_NS
 
     ts = _end_ts(single_reader)
     q = f"?s <{P_ACQUIRED}> ?o"
-    got = service.query_at(ts, q)
-    want = single_reader.query_at(ts, q)
-    pd.testing.assert_frame_equal(got, want)
-    assert len(got) > 0
+    assert len(single_reader.query_at(ts, q)) > 0
+    for router in (service, one_partition):
+        for q in (
+            q,
+            f"SELECT * WHERE {{ ?s <{P_ACQUIRED}> ?o }}",
+            f"CONSTRUCT {{ ?o <{PROP_NS}acquiredBy> ?s }} "
+            f"WHERE {{ ?s <{P_ACQUIRED}> ?o }}",
+            *QUERIES.values(),
+        ):
+            pd.testing.assert_frame_equal(router.query_at(ts, q),
+                                          single_reader.query_at(ts, q))
 
 
 def test_query_caches_warm(service, single_reader):
@@ -272,11 +326,14 @@ def test_graph_clause_distributed_matches_single_reader(service, single_reader, 
     assert len(service.query_at(ts, f"GRAPH ?g {{ ?s <{P_ACQUIRED}> ?o }}")) > 0
 
 
-def test_from_clauses_distributed_match_single_reader(service, single_reader, built):
+def test_from_clauses_distributed_match_single_reader(service, single_reader,
+                                                      built, backends):
     """FROM / FROM NAMED through the router (FROM graphs fetched
-    partition-pruned, GRAPH restricted to FROM NAMED) must agree with
-    the single-reader dataset evaluation."""
-    from rdf_diff_store_ray.corpus import P_ACQUIRED
+    partition-pruned, GRAPH restricted to FROM NAMED, property paths
+    closed over the FROM graphs' edges) and both server backends must
+    agree with the single-reader dataset evaluation: values, dtypes and
+    column order."""
+    from rdf_diff_store_ray.corpus import P_ACQUIRED, P_HQ
     from rdf_diff_store_ray.state.reconstruct import state_at_table
 
     ts = _end_ts(single_reader)
@@ -284,18 +341,32 @@ def test_from_clauses_distributed_match_single_reader(service, single_reader, bu
     gids = sorted(set(live["graph_id"].to_pylist()))[:3]
     froms = " ".join(f"FROM <{g}>" for g in gids)
     named = " ".join(f"FROM NAMED <{g}>" for g in gids[:2])
+    doors = [service] + [b.reader() for b in backends]
     for q in (
         f"SELECT ?s ?o {froms} WHERE {{ ?s ?p ?o }}",
         f"SELECT ?s {froms} WHERE {{ ?s <{P_ACQUIRED}> ?o }}",
         f"SELECT ?g ?s {named} WHERE {{ GRAPH ?g {{ ?s ?p ?o }} }}",
         f"SELECT ?s FROM NAMED <{gids[0]}> WHERE "
         f"{{ GRAPH <{gids[1]}> {{ ?s ?p ?o }} }}",
+        # an empty default graph keeps its variables' first-occurrence
+        # order
+        f"SELECT * FROM NAMED <{gids[0]}> WHERE "
+        f"{{ ?s ?p ?o . ?o <{P_HQ}> ?r }}",
+        f"SELECT ?s ?o {froms} WHERE {{ ?s !<{P_ACQUIRED}> ?o }}",
+        f"SELECT ?s ?o {froms} WHERE {{ ?s (<{P_ACQUIRED}>|<{P_HQ}>)+ ?o }}",
     ):
-        got = service.query_at(ts, q)
         want = single_reader.query_at(ts, q)
-        pd.testing.assert_frame_equal(got, want)
-    # sanity: the first FROM query is non-empty
-    assert len(service.query_at(ts, f"SELECT ?s ?o {froms} WHERE {{ ?s ?p ?o }}")) > 0
+        for door in doors:
+            pd.testing.assert_frame_equal(door.query_at(ts, q), want)
+    # sanity: the FROM queries are non-empty
+    for q in (f"SELECT ?s ?o {froms} WHERE {{ ?s ?p ?o }}",
+              f"SELECT ?s ?o {froms} WHERE {{ ?s !<{P_ACQUIRED}> ?o }}",
+              f"SELECT ?s ?o {froms} WHERE "
+              f"{{ ?s (<{P_ACQUIRED}>|<{P_HQ}>)+ ?o }}"):
+        assert len(service.query_at(ts, q)) > 0, q
+    assert list(service.query_at(ts, f"SELECT * FROM NAMED <{gids[0]}> WHERE "
+                                 f"{{ ?s ?p ?o . ?o <{P_HQ}> ?r }}").columns) \
+        == ["s", "p", "o", "r"]
 
 
 def test_subquery_distributed_matches_single_reader(service, single_reader):
@@ -415,28 +486,47 @@ def _split_partition_store(tmp_path):
 
 
 def test_expression_exists_crosses_partitions(ray_session, tmp_path):
-    """An EXISTS inside a FILTER expression may match in another
-    partition than its outer pattern, so the router must not evaluate
-    the query per partition."""
+    """An EXISTS inside a FILTER, projection or ORDER BY expression may
+    match in another partition than its outer pattern, and evaluates
+    with the query's GRAPH and SERVICE sources: the reader, the router
+    and both server backends give one answer."""
     from rdf_diff_store_ray.query.bgp import DiffStoreReader
-    from rdf_diff_store_ray.stages.deltas import read_log
     from rdf_diff_store_ray.query.service import QueryService
+    from rdf_diff_store_ray.server import StoreBackend
+    from rdf_diff_store_ray.stages.deltas import read_log
 
     store = _split_partition_store(tmp_path)
-    reader = DiffStoreReader(read_log(store))
-    svc = QueryService(store)
+    services = {"https://svc/r": store}
+    reader = DiffStoreReader(read_log(store), services=services)
+    svc = QueryService(store, services=services)
+    backends = [StoreBackend(store, services=services, distributed=d)
+                for d in (False, True)]
     ts = 1_700_000_001
+    has_q = "{ ?o <https://x/q> ?x }"
+    one = '"1"^^<http://www.w3.org/2001/XMLSchema#integer>'
     try:
-        for q in (
-            "?s <https://x/p> ?o . FILTER(EXISTS { ?o <https://x/q> ?x })",
-            "?s <https://x/p> ?o . "
-            "FILTER(?o = <https://x/nope> || EXISTS { ?o <https://x/q> ?x })",
+        for q, col, want in (
+            ("?s <https://x/p> ?o . FILTER(EXISTS " + has_q + ")", "s",
+             ["https://x/s"]),
+            ("?s <https://x/p> ?o . "
+             "FILTER(?o = <https://x/nope> || EXISTS " + has_q + ")", "s",
+             ["https://x/s"]),
+            ("SELECT ?s (IF(EXISTS { GRAPH ?g " + has_q + " }, 1, 0) AS ?e) "
+             "WHERE { ?s <https://x/p> ?o }", "e", [one]),
+            ("SELECT ?s (IF(EXISTS { SERVICE <https://svc/r> " + has_q +
+             " }, 1, 0) AS ?e) WHERE { ?s <https://x/p> ?o }", "e", [one]),
+            ("SELECT ?s WHERE { ?s ?p ?o } ORDER BY DESC(IF(EXISTS "
+             "{ GRAPH ?g " + has_q + " }, 1, 0)) ?s", "s",
+             ["https://x/s", "https://x/o"]),
         ):
-            want = reader.query_at(ts, q)
-            assert list(want["s"]) == ["https://x/s"], q
-            pd.testing.assert_frame_equal(svc.query_at(ts, q), want)
+            got = reader.query_at(ts, q)
+            assert list(got[col]) == want, q
+            for door in [svc] + [b.reader() for b in backends]:
+                pd.testing.assert_frame_equal(door.query_at(ts, q), got)
     finally:
         svc.shutdown()
+        for b in backends:
+            b.close()
 
 
 def test_sparse_build_routes_by_pid(ray_session, tmp_path):
