@@ -3323,16 +3323,6 @@ def _first_rows(table: pa.Table) -> pa.Table:
     return table.take(_first_ids(table))
 
 
-def _union(tables: list) -> pa.Table:
-    """The distinct union of one pattern's binding sets from several
-    sources (graphs, partitions), first appearance in list order."""
-    if not tables[0].num_columns:
-        return _unit(min(sum(t.num_rows for t in tables), 1))
-    if len(tables) == 1:
-        return tables[0]
-    return _first_rows(pa.concat_tables(tables))
-
-
 def empty_bindings(pattern, gterm=("iri", None)) -> pa.Table:
     """What a scan of ``pattern`` (inside ``GRAPH gterm``) returns when
     nothing matches: no rows, one column per variable in first-occurrence

@@ -68,7 +68,7 @@ from .. import fs
 from ..shuffle_utils import partition_ids
 from ..stages import deltas
 from ..state import reconstruct
-from .bgp import DiffStoreReader, _union, _unit
+from .bgp import DiffStoreReader, _first_rows, _unit
 from .front import AsOfReads, ts_key
 
 
@@ -89,6 +89,16 @@ def _land(part) -> pa.Table:
     """Inverse of :func:`_ship`."""
     return _unit(part) if isinstance(part, int) else \
         pa.ipc.open_stream(part).read_all()
+
+
+def _union(tables: list) -> pa.Table:
+    """The distinct union of per-partition binding sets, first
+    appearance in partition order."""
+    if not tables[0].num_columns:
+        return _unit(min(sum(t.num_rows for t in tables), 1))
+    if len(tables) == 1:
+        return tables[0]
+    return _first_rows(pa.concat_tables(tables))
 
 
 @ray.remote
