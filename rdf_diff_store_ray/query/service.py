@@ -42,17 +42,22 @@ per-partition-local:
   reference's full-store load does, ``src/query.rs:117-145``);
 - ``metadata``: min/max over per-partition metadata.
 
-Every actor scans its partition's per-instant Arrow triple (or quad)
-table with the reader's own pattern kernel
-(:func:`..query.bgp.eval_one_pattern`), and the tagged Arrow binding set
-is what crosses to the router, as Arrow IPC stream bytes (a
-variable-free pattern crosses as its row count: pyarrow drops a
-zero-column table's rows in pickling). One actor call per partition
-carries every pattern of a gather round. The router's gather is
-``concat_tables`` + the kernel's first-appearance distinct. A push-down
-call reports its cache level by the front door's rule: ``Query`` on a
-pattern-cache hit, ``Store`` iff the instant was materialized, else
-``Nothing``.
+Every actor answers a default-graph pattern as a stab into validity
+intervals (:func:`..query.bgp.pattern_at`, behind
+:func:`..query.bgp.eval_one_pattern`): its reader keeps, per pattern, a
+match list over the partition's line dictionary, and a scan at ``k``
+selects the matching lines held by a version valid at ``k`` — no
+per-instant triple table is built. A GRAPH-scoped scan still runs the
+same kernel over the instant's quad table, and ``node_terms`` (the
+zero-length step of a ``*``/``?`` path) reads the triple table. The
+tagged Arrow binding set is what crosses to the router, as Arrow IPC
+stream bytes (a variable-free pattern crosses as its row count: pyarrow
+drops a zero-column table's rows in pickling). One actor call per
+partition carries every pattern of a gather round. The router's gather
+is ``concat_tables`` + the kernel's first-appearance distinct. A
+push-down call reports its cache level by the front door's rule:
+``Query`` on a pattern-cache hit, ``Store`` iff the instant had an
+entry, else ``Nothing``.
 """
 
 from __future__ import annotations
@@ -124,7 +129,7 @@ class PartitionReaderActor:
         """A push-down result at ``ts``, cached beside the query cache
         under ``(k,) + key``; ``scan(k)`` computes it on a miss. Reports
         the front door's cache level: ``Query`` on a hit, ``Store`` iff
-        the instant was already materialized, else ``Nothing``."""
+        the instant already had an entry, else ``Nothing``."""
         reader = self.reader
         k = ts_key(ts)
         hit = reader.query_cache.get((k,) + key)
@@ -143,12 +148,13 @@ class PartitionReaderActor:
         of every routed query; one call carries every
         pattern of a gather round. The router ships each pattern parsed,
         with its ``format_pattern`` text as the cache key (a path AST
-        holds lists, so the pattern itself is not hashable)."""
-        from .bgp import eval_one_pattern
+        holds lists, so the pattern itself is not hashable). Each is a
+        stab into the reader's match lists: no triple table is built."""
+        from .bgp import DefaultGraph, eval_one_pattern
 
         def scan(pat):
             return lambda k: _ship(eval_one_pattern(
-                self.reader._at(k, "store"), pat))
+                DefaultGraph(self.reader, k), pat))
 
         return [self._cached(ts, (key, "tagged"), scan(pat))
                 for key, pat in patterns]

@@ -58,7 +58,7 @@ def blame_table(deltas, ts) -> pa.Table:
     keep = v.kept[pos][last][graph]  # the graph is live at ts
     pos, graph = pos[keep], graph[keep]
     vrank, last_rank = vrank[keep], last_rank[keep]
-    parent, line = v.lines_of(v.rows["delta_text"].take(pos))
+    parent, line = v.line_ids(pos)
     g, vr, lr = graph[parent], vrank[parent], last_rank[parent]
     # graph runs follow graph_id order and line ids the lines' bytewise
     # order, so this is the (graph_id, line, version) order

@@ -31,15 +31,25 @@ Model for Distributed Computing over Temporal Graphs", ICDE 2020):
   last write of a second wins with no special case;
 - on the first read that needs lines, the distinct version texts, each
   exploded once into ids of ONE bytewise-sorted dictionary of distinct
-  lines (:func:`explode_lines`);
+  lines (:func:`explode_lines`), and each row's line ids
+  (:attr:`Versions.row_lines`: offsets into one id array);
 - on the first read that needs triples, that dictionary parsed by ONE
   ``ntriples.parse`` call, with its lines' order as triples.
 
 An as-of read is then one mask, ``sec <= k < t_to and op != delete``
-(:meth:`Versions.live`, behind :func:`state_at_table`), plus takes from
-the dictionary — no per-read sort, explode or parse. Arrow hashes and
-sorts full bytes, so NUL-bearing graph ids and literals are safe by
-construction, with no per-site guard. Every kernel accepts a raw delta
+(:meth:`Versions.live`, behind :func:`state_at_table`), whose row
+positions take line ids from the rows and triples from the dictionary —
+no per-read sort, explode, parse or text hashing. A pattern scan need
+not read the instant's triples at all: the query layer keeps, per
+reader and pattern, a match list over the dictionary (the matching
+lines, their bindings, and each (row, matching line) with the row's
+interval, from :attr:`Versions.row_lines`), and answers a scan at ``k``
+as a stab ``sec <= k < t_to`` into it (:func:`..query.bgp.pattern_at`);
+:meth:`Versions.extend` keeps the map of old line ids to new
+(:attr:`Versions.remap`) that carries those lists through a write.
+Arrow hashes and sorts full bytes, so NUL-bearing graph ids and literals
+are safe by construction, with no per-site guard. Every kernel accepts a
+raw delta
 table (prepared on entry, as :func:`..schemas.ensure_seq` normalizes a
 seq-less table) or a prepared :class:`Versions`:
 
@@ -47,7 +57,9 @@ seq-less table) or a prepared :class:`Versions`:
 - ``graphs_at_table``: the live lines of the dictionary, in its order —
   no parse, no re-serialization, so each graph keeps its own blank-node
   labels;
-- ``triples_at_table``: the live lines' triples, sorted;
+- ``triples_at_table``: the live lines' triples, sorted (what a pattern
+  stab equals; still built for property-path node universes, SERVICE
+  tables and the partition actors' ``node_terms``);
 - ``quads_at_table``: each live graph's triples with its graph id, in
   graph then line order;
 - ``diff_table``: unchanged graphs skipped by digest, then a set
@@ -68,6 +80,7 @@ Two drivers run the kernels:
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 
@@ -123,12 +136,19 @@ class Versions:
     """A delta table prepared for as-of reads (see the module doc): its
     rows in ``(graph_id, warc_ts, seq)`` order, each valid over
     ``[sec, t_to)``, and — built on the first read that needs lines —
-    the dictionary of every version's lines and its one parse."""
+    the dictionary of every version's lines, each row's line ids and
+    the dictionary's one parse."""
 
-    def __init__(self, deltas: pa.Table):
+    def __init__(self, deltas: pa.Table, row_text=None):
+        # row_text: each row's id into the dictionary's texts, in the
+        # order of ``deltas`` (given by :meth:`extend` with the
+        # dictionary it carries)
         rows = ensure_seq(deltas)  # legacy seq-less tables: row order
         if rows.num_rows:
-            rows = rows.take(pc.sort_indices(rows, sort_keys=_VERSION_ORDER))
+            order = pc.sort_indices(rows, sort_keys=_VERSION_ORDER)
+            rows = rows.take(order)
+            if row_text is not None:
+                row_text = row_text[order.to_numpy()]
         self.rows = rows
         ts = rows["warc_ts"]
         self.sec = ts.cast(pa.int64()).to_numpy() // _UNIT_PER_S[ts.type.unit]
@@ -141,7 +161,12 @@ class Versions:
         # built on first use, without a lock (the library's classes are
         # pickled by value into Ray workers, and a lock does not pickle):
         # two threads racing here only repeat the work
-        self._dictionary = self._triples = None
+        self._row_text = row_text
+        self._dictionary = self._row_lines = self._triples = None
+        # set by extend when it carries a dictionary: the line ids of
+        # the table it extends mapped to this one's, and the ids of the
+        # lines the write added
+        self.remap = None
 
     def heads(self) -> pa.Table:
         """Each graph's latest version, deletes included: the rows
@@ -159,8 +184,36 @@ class Versions:
         the distinct lines of all of them sorted bytewise, and per text
         the ids of its lines into ``lines``, in text order."""
         if self._dictionary is None:
-            self._dictionary = _add_texts(None, self.rows["delta_text"])[0]
+            d, self._row_text = _add_texts(None, self.rows["delta_text"])[:2]
+            self._dictionary = d
         return self._dictionary
+
+    @property
+    def row_lines(self) -> pa.LargeListArray:
+        """Each row's line ids into :attr:`lines`, in row order: offsets
+        into one id array (a delete's, like an empty graph's, is
+        empty)."""
+        if self._row_lines is None:
+            text_lines = self.dictionary[2]
+            self._row_lines = text_lines.take(pa.array(self._row_text))
+        return self._row_lines
+
+    def numbered(self) -> "Versions":
+        """This table with each row replaced by its position (one
+        ``row`` column), intervals unchanged: an as-of select over it
+        yields the live rows' positions, by which the kernels take line
+        ids and triples."""
+        out = copy.copy(self)
+        out.rows = pa.table({"row": np.arange(self.rows.num_rows)})
+        return out
+
+    def line_ids(self, pos=None) -> "tuple[np.ndarray, np.ndarray]":
+        """``(parent, ids)``: one entry per line of each row at ``pos``
+        (row positions; every row when None), in order — the index of
+        its row in ``pos`` and its id into :attr:`lines`."""
+        per = self.row_lines if pos is None else self.row_lines.take(pos)
+        return (pc.list_parent_indices(per).to_numpy(),
+                pc.list_flatten(per).to_numpy())
 
     def extend(self, rows: pa.Table) -> "Versions":
         """This table with ``rows`` (a write's new delta rows) added, as
@@ -168,15 +221,18 @@ class Versions:
         closes its graph's open interval at its second and opens the
         next. Of the dictionary and its parse, when built, only the new
         distinct lines are exploded, merged in and parsed; the existing
-        line ids are remapped. ``self`` is unchanged: concurrent reads
-        may still hold it."""
-        out = Versions(pa.concat_tables(
-            [self.rows, rows.select(self.rows.schema.names)
-             .cast(self.rows.schema)]))
+        line ids are remapped (the map is kept as :attr:`remap`).
+        ``self`` is unchanged: concurrent reads may still hold it."""
+        both = pa.concat_tables([self.rows, rows.select(self.rows.schema.names)
+                                 .cast(self.rows.schema)])
         if self._dictionary is None:
-            return out
-        out._dictionary, fresh, perm = _add_texts(self._dictionary,
-                                                  rows["delta_text"])
+            return Versions(both)
+        dictionary, text_ids, fresh, perm, new_id = _add_texts(
+            self._dictionary, rows["delta_text"])
+        out = Versions(both, np.r_[self._row_text, text_ids])
+        out._dictionary = dictionary
+        old = len(self._dictionary[1])
+        out.remap = new_id[:old], new_id[old:]
         out._triples = self._triples
         if self._triples is not None and len(fresh):
             parsed = pa.concat_tables([self._triples[0],
@@ -188,15 +244,6 @@ class Versions:
     @property
     def lines(self) -> pa.Array:
         return self.dictionary[1]
-
-    def lines_of(self, texts) -> "tuple[np.ndarray, np.ndarray]":
-        """``(parent, ids)``: one entry per line of each of ``texts``
-        (version texts of this table) in order — the index of its text
-        and its id into :attr:`lines`."""
-        known, _, text_lines = self.dictionary
-        per = text_lines.take(pc.index_in(texts, value_set=known))
-        return (pc.list_parent_indices(per).to_numpy(),
-                pc.list_flatten(per).to_numpy())
 
     @property
     def triples(self) -> tuple:
@@ -221,6 +268,13 @@ def state_at_table(deltas, ts) -> pa.Table:
     ``graph_id`` order."""
     v = prepare(deltas)
     return v.rows.filter(pa.array(v.live(_instant(ts))))
+
+
+def _live_rows(v: Versions, ts) -> np.ndarray:
+    """The positions in ``v.rows`` of the rows live at ``ts``: the one
+    as-of select, :func:`state_at_table`, over :meth:`Versions.numbered`
+    (looked up on the module, where the benchmark times it)."""
+    return state_at_table(v.numbered(), ts)["row"].to_numpy()
 
 
 def explode_lines(table: pa.Table, carry) -> pa.Table:
@@ -275,24 +329,26 @@ def _parse_lines(lines) -> dict:
 
 
 def _add_texts(dictionary, texts) -> tuple:
-    """``(dictionary, fresh, perm)``: ``dictionary`` (as
-    :attr:`Versions.dictionary`; None for the empty one) with the
-    distinct version ``texts`` it lacks added. Only those texts are
-    exploded, and only their lines that it lacks (``fresh``) are merged
-    into the sorted lines; ``perm`` takes its old lines then ``fresh``
-    into the merged order, and the old line ids are remapped by it."""
-    add = pc.unique(texts)
-    if dictionary is not None:
-        add = add.filter(pc.invert(pc.is_in(add, value_set=dictionary[0])))
+    """``(dictionary, text_ids, fresh, perm, new_id)``: ``dictionary``
+    (as :attr:`Versions.dictionary`; None for the empty one) with the
+    distinct version ``texts`` it lacks added, and each of ``texts``'s
+    id into its texts. Only the added texts are exploded, and only
+    their lines that it lacks (``fresh``) are merged into the sorted
+    lines; ``perm`` takes its old lines then ``fresh`` into the merged
+    order, and ``new_id`` (its inverse) maps them to merged ids."""
+    if dictionary is None:
+        dictionary = (pa.array([], texts.type), pa.array([], texts.type),
+                      pa.LargeListArray.from_arrays(
+                          pa.array([0], pa.int64()), pa.array([], pa.int32())))
+    known, lines, text_lines = dictionary
+    at = pc.index_in(texts, value_set=known)
+    add = pc.unique(texts.filter(pc.is_null(at)))
+    text_ids = pc.coalesce(at, pc.add(pc.index_in(texts, value_set=add),
+                                      len(known))).to_numpy()
     ex = explode_lines(pa.table({
         "delta_text": add,
         "text": pa.array(np.arange(len(add)), pa.int64())}), ["text"])
     fresh = pc.unique(ex["line"])
-    if dictionary is None:
-        dictionary = (add.slice(0, 0), fresh.slice(0, 0),
-                      pa.LargeListArray.from_arrays(
-                          pa.array([0], pa.int64()), pa.array([], pa.int32())))
-    known, lines, text_lines = dictionary
     fresh = fresh.filter(pc.invert(pc.is_in(fresh, value_set=lines)))
     merged = pa.concat_arrays([lines, fresh.cast(lines.type)])
     perm = pc.sort_indices(merged)
@@ -309,7 +365,7 @@ def _add_texts(dictionary, texts) -> tuple:
                     pa.array(new_id[text_lines.values.to_numpy()],
                              pa.int32()),
                     pc.index_in(ex["line"], value_set=lines)
-                    .combine_chunks()]))), fresh, perm
+                    .combine_chunks()]))), text_ids, fresh, perm, new_id
 
 
 def _triple_order(parsed: pa.Table) -> np.ndarray:
@@ -320,7 +376,7 @@ def _triple_order(parsed: pa.Table) -> np.ndarray:
 
 def _live_line_mask(v: Versions, ts) -> np.ndarray:
     """Which of ``v``'s lines some graph live at ``ts`` holds."""
-    _, ids = v.lines_of(state_at_table(v, ts)["delta_text"])
+    _, ids = v.line_ids(_live_rows(v, ts))
     mask = np.zeros(len(v.lines), bool)
     mask[ids] = True
     return mask
@@ -347,20 +403,23 @@ def quads_at_table(deltas, ts) -> pa.Table:
     one-graph-per-source-id model (``src/git.rs:110-120``), so the graph
     term of a quad is the graph id itself."""
     v = prepare(deltas)
-    live = state_at_table(v, ts)
-    parent, ids = v.lines_of(live["delta_text"])
+    pos = _live_rows(v, ts)
+    parent, ids = v.line_ids(pos)
     return v.triples[0].take(ids).add_column(
-        0, "graph_id", live["graph_id"].take(parent))
+        0, "graph_id", v.rows["graph_id"].take(pos[parent]))
 
 
-def _changed_lines(v: Versions, a: pa.Table, b: pa.Table) -> pa.Table:
-    """(graph_id, line id) of ``a``'s live graphs whose content differs
-    in ``b`` — the stored digest skips unchanged graphs unexploded."""
-    changed = a.join(b.select(["graph_id", "digest"]), ["graph_id", "digest"],
-                     join_type="left anti")
-    parent, ids = v.lines_of(changed["delta_text"])
-    return pa.table({"graph_id": changed["graph_id"].take(parent),
-                     "line": ids})
+def _changed_lines(v: Versions, a: np.ndarray, b: np.ndarray) -> pa.Table:
+    """(graph_id, line id) of the live graphs at row positions ``a``
+    whose content differs at ``b`` — the stored digest skips unchanged
+    graphs unexploded."""
+    keys = v.rows.select(["graph_id", "digest"])
+    changed = keys.take(a).append_column("pos", pa.array(a)).join(
+        keys.take(b), ["graph_id", "digest"], join_type="left anti")
+    changed = changed["pos"].combine_chunks()
+    parent, ids = v.line_ids(changed)
+    return pa.table({"graph_id": v.rows["graph_id"].take(
+        changed.take(parent)), "line": ids})
 
 
 def diff_table(deltas, ts1, ts2) -> pa.Table:
@@ -371,7 +430,7 @@ def diff_table(deltas, ts1, ts2) -> pa.Table:
     resolving both as-of states and set-differencing their line ids.
     Returns ``(graph_id, change ∈ {added, removed}, line)`` sorted."""
     v = prepare(deltas)
-    live1, live2 = state_at_table(v, ts1), state_at_table(v, ts2)
+    live1, live2 = _live_rows(v, ts1), _live_rows(v, ts2)
     old, new = _changed_lines(v, live1, live2), _changed_lines(v, live2, live1)
     keys = ["graph_id", "line"]
     out = pa.concat_tables([

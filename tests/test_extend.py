@@ -2,7 +2,8 @@
 write's rows equals a prepare of the whole log — rows, intervals, line
 dictionary, parse — and every as-of kernel reads the same from both,
 whether the dictionary and parse were built before the writes, between
-them, or not at all. No Ray session."""
+them, or not at all; a reader's pattern match lists carried through the
+writes equal lists built on the whole log. No Ray session."""
 
 import pyarrow as pa
 import pytest
@@ -90,6 +91,7 @@ def _same(got, want) -> None:
         return
     assert got.lines.equals(want.lines)
     assert _text_ids(got) == _text_ids(want)
+    assert got.row_lines.to_pylist() == want.row_lines.to_pylist()
     if got._triples is None:
         return
     got_parsed, got_order = got.triples
@@ -178,3 +180,61 @@ def test_extend_leaves_the_original_unchanged():
     v.extend(segs[3])
     assert v.rows is before[0] and v.t_to.tolist() == before[1].tolist()
     assert v.dictionary is before[2] and v.triples[0] is before[3]
+
+
+PATTERNS = [
+    (("var", "s"), ("var", "p"), ("var", "o")),
+    (("var", "s"), ("var", "p"), ("iri", "https://x/o")),
+    (("var", "s"), ("var", "p"), ("lit", "https://x/o")),
+    (("var", "s"), ("var", "p"), ("var", "s")),
+    (("iri", "https://x/n"), ("iri", "https://x/p"), ("lit", "new")),
+]
+
+
+def _by_line(ml) -> dict:
+    """A match list as matching line → its binding row."""
+    rows = ml.bindings.to_pylist() if ml.bindings.num_columns \
+        else [{}] * ml.bindings.num_rows
+    lines = ml.versions.lines
+    return {lines[int(i)].as_py(): rows[b] for i, b in zip(ml.lines, ml.bids)}
+
+
+def test_reader_carries_match_lists_through_writes(monkeypatch):
+    """Match lists built before the writes and carried by
+    ``DiffStoreReader.extended`` match the same lines with the same
+    bindings, and stab the same answers at every second, as lists built
+    on the whole log; each write runs the match rules over its new
+    lines only."""
+    from rdf_diff_store_ray.query import bgp
+
+    segs = _segments()
+    reader = bgp.DiffStoreReader(segs[0])
+    for pat in PATTERNS:
+        bgp.pattern_at(reader.versions, pat, T0, reader.matches)
+    scanned = []
+    rows = bgp._pattern_rows
+
+    def counting(table, *a, **kw):
+        scanned.append(table.num_rows)
+        return rows(table, *a, **kw)
+
+    monkeypatch.setattr(bgp, "_pattern_rows", counting)
+    known = set(reader.versions.lines.to_pylist())
+    for seg in segs[1:]:
+        new = {ln for t in seg["delta_text"].to_pylist()
+               for ln in t.split("\n") if ln} - known
+        scanned.clear()
+        reader = reader.extended(seg)
+        assert scanned == [len(new)] * len(PATTERNS)
+        known |= new
+    monkeypatch.setattr(bgp, "_pattern_rows", rows)
+    fresh = reconstruct.prepare(pa.concat_tables(segs))
+    for pat in PATTERNS:
+        carried = reader.matches.get(bgp.format_pattern(pat))
+        assert carried.versions is reader.versions
+        built = bgp.MatchList.build(fresh, pat)
+        assert _by_line(carried) == _by_line(built)
+        for k in _instants():
+            assert carried.at(k).equals(built.at(k)), (pat, k)
+            assert carried.at(k).equals(bgp.eval_one_pattern(
+                reconstruct.triples_at_table(fresh, k), pat)), (pat, k)

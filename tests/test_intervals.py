@@ -1,7 +1,9 @@
 """The prepared version-interval table (``reconstruct.prepare``): every
 as-of kernel gives the same answer from a raw delta table and from a
-prepared one, both equal a naive per-graph replay of the log, and a
-reader prepares (and parses) once per table. No Ray session."""
+prepared one, both equal a naive per-graph replay of the log, the
+pattern stab (``bgp.pattern_at``) equals a scan of the instant's triple
+table, and a reader prepares (and parses) once per table. No Ray
+session."""
 
 import itertools
 
@@ -19,6 +21,8 @@ NUL1 = '<https://x/s> <https://x/p> "m\x00k" .\n'
 NUL2 = '<https://x/s> <https://x/q> "m\x00n" .\n'
 BN = '_:x <https://x/p> _:y .\n_:y <https://x/q> "z" .\n'
 LIT = '<https://x/s> <https://x/p> "5"^^<https://x/int> .\n'
+TWIN = '<https://x/s> <https://x/p> "https://x/o" .\n'  # A's literal twin
+LOOP = '<https://x/s> <https://x/q> <https://x/s> .\n'
 
 
 def _text(*lines) -> str:
@@ -32,6 +36,7 @@ LOG = [
     ("bn", T0 * US, "update", BN),
     ("gone", T0 * US, "update", _text(A, LIT)),
     ("empty", T0 * US, "update", ""),
+    ("twin", T0 * US, "update", _text(A, TWIN, LOOP)),
     ("g\x00a", (T0 + 60) * US, "update", _text(A, NUL2)),
     ("gone", (T0 + 60) * US, "delete", ""),
     ("empty", (T0 + 60) * US, "update", _text(LIT)),
@@ -45,8 +50,10 @@ LOG = [
     # later stamp wins although it was written first
     ("sub", (T0 + 180) * US + 700_000, "update", _text(A, NUL2)),
     ("sub", (T0 + 180) * US + 200_000, "update", _text(LIT)),
+    ("twin", (T0 + 180) * US, "update", _text(TWIN)),
     ("empty", (T0 + 240) * US, "update", ""),
     ("bn", (T0 + 240) * US, "delete", ""),
+    ("twin", (T0 + 240) * US, "update", _text(LOOP, TWIN, A)),
 ]
 
 
@@ -226,3 +233,70 @@ def test_reader_prepares_and_parses_once(monkeypatch):
             is not None
         reader.diff(T0, k)
     assert calls == {"parse": 1, "log_sorts": 1, "explode_lines": 1}
+
+
+# triple patterns of the stab oracle, as parse_query gives them
+PATTERNS = {
+    "iri object": (("var", "s"), ("var", "p"), ("iri", "https://x/o")),
+    "literal object": (("var", "s"), ("var", "p"), ("lit", "https://x/o")),
+    "nul literal": (("var", "s"), ("iri", "https://x/p"), ("lit", "m\x00k")),
+    "typed literal": (("var", "o"), ("var", "p"),
+                      ("lit", '"5"^^<https://x/int>')),
+    "all": (("var", "s"), ("var", "p"), ("var", "o")),
+    "self loop": (("var", "s"), ("var", "p"), ("var", "s")),
+    "blank subject": (("var", "s"), ("iri", "https://x/q"), ("var", "o")),
+    "bound": (("iri", "https://x/s"), ("iri", "https://x/p"),
+              ("iri", "https://x/o")),
+    "unbound": (("iri", "https://x/s"), ("iri", "https://x/p"),
+                ("iri", "https://x/nope")),
+}
+
+
+def test_stab_equals_a_scan_of_the_instant_triples():
+    """``pattern_at`` is ``Table.equals`` to the pattern kernel over the
+    instant's triple table — values, column order and row order — at
+    every version second, between versions, before history and after
+    it, through a shared match-list cache and from a raw table."""
+    from rdf_diff_store_ray.query.bgp import LRU, eval_one_pattern, pattern_at
+
+    raw = _table(LOG)
+    v = reconstruct.prepare(raw)
+    matches = LRU(len(PATTERNS))
+    seen = {name: set() for name in PATTERNS}
+    for k in _instants(LOG):
+        triples = reconstruct.triples_at_table(v, k)
+        for name, pat in PATTERNS.items():
+            want = eval_one_pattern(triples, pat)
+            for got in (pattern_at(v, pat, k, matches),
+                        pattern_at(raw, pat, k)):
+                assert got.equals(want), (name, k)
+                assert got.num_rows == want.num_rows, (name, k)
+            seen[name].add(want.num_rows)
+    assert len(matches.items()) == len(PATTERNS)
+    # each pattern both matches and misses somewhere, except "unbound"
+    assert all(len(n) > 1 for name, n in seen.items() if name != "unbound")
+    assert seen["unbound"] == {0}
+    # the answer's row order is triple order, not the dictionary's line
+    # order: the IRI object sorts before its literal twin
+    end = pattern_at(v, PATTERNS["all"], T0 + 250).to_pylist()
+    twins = [r["o"] for r in end if r["o"][1:] == "https://x/o"]
+    assert twins == ["Ihttps://x/o", "Lhttps://x/o"]
+
+
+def test_default_graph_paths_equal_a_table_scan():
+    """A property path over a reader's default graph (stabbed edges,
+    the node universe from the triple table) equals the path over the
+    instant's triple table."""
+    from rdf_diff_store_ray.query.bgp import (DefaultGraph, DiffStoreReader,
+                                              eval_one_pattern, parse_query)
+
+    raw = _table(LOG)
+    reader = DiffStoreReader(raw)
+    pats = [parse_query(f"SELECT * WHERE {{ {q} }}")["patterns"][0]
+            for q in ("?s !(<https://x/q>) ?o", "?s <https://x/p>* ?o",
+                      "?s (<https://x/p>|<https://x/q>)+ ?o")]
+    for k in _instants(LOG):
+        triples = reconstruct.triples_at_table(raw, k)
+        for pat in pats:
+            assert eval_one_pattern(DefaultGraph(reader, k), pat).equals(
+                eval_one_pattern(triples, pat)), (pat, k)

@@ -569,3 +569,27 @@ def test_sparse_build_routes_by_pid(ray_session, tmp_path):
         assert any(reader.graph_at(g, c.snapshot_times[-1]) for g in gids)
     finally:
         svc.shutdown()
+
+
+def test_cold_queries_leave_no_cyclic_garbage(service, single_reader):
+    """Cold queries of the four benchmark shapes, on the reader and on
+    the router, leave no object that only the cyclic GC frees (each
+    query's SERVICE evaluator once closed over itself)."""
+    import gc
+
+    from perfbench.oracle_gate import QUERIES
+
+    ts = _end_ts(single_reader) + 7000  # instants no other test reads
+    for backend in (single_reader, service):  # first-use state
+        for q in QUERIES.values():
+            backend.query_at(ts - 1, q)
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(5):
+            for q in QUERIES.values():
+                for backend in (single_reader, service):
+                    backend.query_at(ts + i, q)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
