@@ -33,9 +33,14 @@ reader holds the (small) log.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
+import math
+import re
 from collections import OrderedDict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pandas as pd
@@ -118,7 +123,6 @@ def _expand_prefixes(q: str) -> str:
     gets prefix support at once — matching how oxigraph accepts
     prefixed queries for the reference (`src/query.rs:102-114`)."""
     global _PNAME_DECL, _PNAME_TOKEN, _SCHEME_RE
-    import re
 
     if _PNAME_DECL is None:
         _PNAME_DECL = re.compile(
@@ -222,7 +226,6 @@ def parse_query(query: str) -> dict:
     normal form of the spec's position-sensitive ordering). Grows the oxigraph-subset surface of
     ``src/query.rs:102-114`` toward the full SELECT form it accepts."""
     q = _expand_prefixes(query.strip())
-    import re as _re
 
     # fresh-label state for [ ... ] anonymous nodes: reset at the
     # OUTERMOST parse so labels are deterministic per query text and
@@ -234,13 +237,13 @@ def parse_query(query: str) -> dict:
         _ANON_STATE["n"] = 0
     _ANON_STATE["depth"] += 1
     try:
-        if _re.match(r"^SELECT\b", q, _re.IGNORECASE):
+        if re.match(r"^SELECT\b", q, re.IGNORECASE):
             return _parse_select(q)
-        if _re.match(r"^ASK\b", q, _re.IGNORECASE):
+        if re.match(r"^ASK\b", q, re.IGNORECASE):
             return _parse_ask(q)
-        if _re.match(r"^CONSTRUCT\b", q, _re.IGNORECASE):
+        if re.match(r"^CONSTRUCT\b", q, re.IGNORECASE):
             return _parse_construct(q)
-        if _re.match(r"^DESCRIBE\b", q, _re.IGNORECASE):
+        if re.match(r"^DESCRIBE\b", q, re.IGNORECASE):
             return _parse_describe(q)
         group = _parse_group_body(q)
         group.update(_NO_MODIFIERS)
@@ -254,10 +257,9 @@ _ANON_STATE = {"depth": 0, "n": 0}
 
 def _parse_ask(q: str) -> dict:
     """``ASK [WHERE] { group }`` → boolean query form."""
-    import re as _re
 
     rest = q[len("ASK"):].lstrip()
-    if m := _re.match(r"^WHERE\b", rest, _re.IGNORECASE):
+    if m := re.match(r"^WHERE\b", rest, re.IGNORECASE):
         rest = rest[m.end():].lstrip()
     if not rest.startswith("{"):
         raise ValueError("ASK needs a braced group")
@@ -275,10 +277,9 @@ def _parse_construct(q: str) -> dict:
     The template is a plain pattern list (no FILTER/OPTIONAL/paths).
     ``CONSTRUCT WHERE { patterns }`` is the SPARQL 1.1 shorthand: the
     group doubles as the template (patterns-only, enforced below)."""
-    import re as _re
 
     rest = q[len("CONSTRUCT"):].lstrip()
-    if m := _re.match(r"^WHERE\b", rest, _re.IGNORECASE):
+    if m := re.match(r"^WHERE\b", rest, re.IGNORECASE):
         body = rest[m.end():].lstrip()
         if not body.startswith("{"):
             raise ValueError("WHERE needs a braced group")
@@ -304,7 +305,7 @@ def _parse_construct(q: str) -> dict:
         if p[0] == "path":
             raise ValueError("property paths are not valid in CONSTRUCT templates")
     rest = rest[j + 1:].strip()
-    if not _re.match(r"^WHERE\b", rest, _re.IGNORECASE):
+    if not re.match(r"^WHERE\b", rest, re.IGNORECASE):
         raise ValueError("CONSTRUCT needs WHERE { group }")
     rest = rest[len("WHERE"):].lstrip()
     if not rest.startswith("{"):
@@ -325,7 +326,6 @@ def _parse_describe(q: str) -> dict:
     leaves the shape to the implementation; oxigraph behind the
     reference serves a CBD — blank-node closure is not applicable here
     because stored graphs are skolemized at canonicalization)."""
-    import re as _re
 
     rest = q[len("DESCRIBE"):].lstrip()
     terms: list = []
@@ -343,7 +343,7 @@ def _parse_describe(q: str) -> dict:
     if not terms:
         raise ValueError("DESCRIBE needs <iri> or ?var resources")
     if rest:
-        if m := _re.match(r"^WHERE\b", rest, _re.IGNORECASE):
+        if m := re.match(r"^WHERE\b", rest, re.IGNORECASE):
             rest = rest[m.end():].lstrip()
         if not rest.startswith("{"):
             raise ValueError(f"trailing text after DESCRIBE: {rest!r}")
@@ -381,7 +381,6 @@ def _take_order_keys(s: str):
     computed conditions — ``ASC|DESC(<expression>)`` and bracketed
     ``(<expression>)`` forms (SPARQL's bare-builtin-call condition is
     written with brackets here)."""
-    import re as _re
 
     keys = []
     while True:
@@ -391,11 +390,11 @@ def _take_order_keys(s: str):
                 j += 1
             keys.append((s[1:j], True))
             s = s[j:].lstrip()
-        elif m := _re.match(r"^(ASC|DESC)\s*\(", s, _re.IGNORECASE):
+        elif m := re.match(r"^(ASC|DESC)\s*\(", s, re.IGNORECASE):
             j = _match_paren(s, m.end() - 1)
             inner = s[m.end():j].strip()
             asc = m.group(1).upper() == "ASC"
-            if vm := _re.fullmatch(r"\?([A-Za-z_]\w*)", inner):
+            if vm := re.fullmatch(r"\?([A-Za-z_]\w*)", inner):
                 keys.append((vm.group(1), asc))
             else:
                 keys.append((("expr", _parse_filter_operand(inner)), asc))
@@ -416,7 +415,6 @@ def _take_group_keys(s: str):
     ``("expr", ast, None)`` for ``(expr)``, or a bare builtin /
     constructor call (``STRLEN(?x)``, ``xsd:integer(?x)``) — the
     SPARQL 1.1 GroupCondition grammar."""
-    import re as _re
 
     keys = []
     while s:
@@ -430,8 +428,8 @@ def _take_group_keys(s: str):
             j = _match_paren(s, 0)
             inner = s[1:j].strip()
             key = None
-            if m := _re.search(r"\s+AS\s+\?([A-Za-z_]\w*)$", inner,
-                               _re.IGNORECASE):
+            if m := re.search(r"\s+AS\s+\?([A-Za-z_]\w*)$", inner,
+                               re.IGNORECASE):
                 pre = inner[: m.start()].strip()
                 try:  # AS must be top-level — a pre-part that parses IS
                     key = ("expr", _parse_filter_operand(pre), m.group(1))
@@ -441,10 +439,10 @@ def _take_group_keys(s: str):
                 key = ("expr", _parse_filter_operand(inner), None)
             keys.append(key)
             s = s[j + 1:].lstrip()
-        elif m := _re.match(
+        elif m := re.match(
             r"^(?!(?:HAVING|ORDER|LIMIT|OFFSET|VALUES)\b)"
             r"(?:[A-Za-z_]\w*:)?[A-Za-z_]\w*\s*\(",
-            s, _re.IGNORECASE,
+            s, re.IGNORECASE,
         ):
             p = s.index("(")
             j = _match_paren(s, p)
@@ -462,11 +460,10 @@ def _hoist_having_aggs(expr: str, aggregates: list, agg_exprs: list) -> str:
     the returned expression references the alias variable instead (the
     spec's own rewrite, 18.2.4.1). Quote-aware: calls inside string
     literals stay text."""
-    import re as _re
 
-    pat = _re.compile(
+    pat = re.compile(
         r"\b(COUNT|SUM|AVG|MIN|MAX|SAMPLE|GROUP_CONCAT)\s*\(",
-        _re.IGNORECASE,
+        re.IGNORECASE,
     )
     out, i = [], 0
     while m := pat.search(expr, i):
@@ -479,12 +476,12 @@ def _hoist_having_aggs(expr: str, aggregates: list, agg_exprs: list) -> str:
         j = _match_paren(expr, open_i)
         inner = expr[open_i + 1:j].strip()
         distinct_a = False
-        if dm := _re.match(r"^DISTINCT\s+", inner, _re.IGNORECASE):
+        if dm := re.match(r"^DISTINCT\s+", inner, re.IGNORECASE):
             distinct_a = True
             inner = inner[dm.end():].strip()
         sep = " "
-        if sm := _re.search(r';\s*SEPARATOR\s*=\s*"([^"]*)"\s*$', inner,
-                            _re.IGNORECASE):
+        if sm := re.search(r';\s*SEPARATOR\s*=\s*"([^"]*)"\s*$', inner,
+                            re.IGNORECASE):
             if func != "GROUP_CONCAT":
                 raise ValueError(
                     f"SEPARATOR is only valid in GROUP_CONCAT, not {func}"
@@ -495,7 +492,7 @@ def _hoist_having_aggs(expr: str, aggregates: list, agg_exprs: list) -> str:
             if func != "COUNT":
                 raise ValueError(f"{func}(*) is not valid SPARQL")
             var = None
-        elif vm := _re.fullmatch(r"\?([A-Za-z_]\w*)", inner):
+        elif vm := re.fullmatch(r"\?([A-Za-z_]\w*)", inner):
             var = vm.group(1)
         else:
             var = f"__agg{len(agg_exprs)}"
@@ -526,18 +523,17 @@ _AGG_RE = None
 
 def _parse_select(q: str) -> dict:
     global _AGG_RE
-    import re as _re
 
     if _AGG_RE is None:
         # matches only the aggregate HEAD; the argument (a variable, *,
         # or a full expression) is taken with the paren matcher below
-        _AGG_RE = _re.compile(
+        _AGG_RE = re.compile(
             r"^\(\s*(COUNT|SUM|AVG|MIN|MAX|SAMPLE|GROUP_CONCAT)\s*\(",
-            _re.IGNORECASE,
+            re.IGNORECASE,
         )
     rest = q[len("SELECT"):].lstrip()
     distinct = False
-    if _re.match(r"^DISTINCT\b", rest, _re.IGNORECASE):
+    if re.match(r"^DISTINCT\b", rest, re.IGNORECASE):
         distinct = True
         rest = rest[len("DISTINCT"):].lstrip()
     select: list | None
@@ -559,20 +555,20 @@ def _parse_select(q: str) -> dict:
                 open_i = m.end() - 1
                 j = _match_paren(rest, open_i)
                 inner = rest[open_i + 1:j].strip()
-                am = _re.match(r"^\s*AS\s+\?([A-Za-z_]\w*)\s*\)",
-                               rest[j + 1:], _re.IGNORECASE)
+                am = re.match(r"^\s*AS\s+\?([A-Za-z_]\w*)\s*\)",
+                               rest[j + 1:], re.IGNORECASE)
                 if not am:
                     raise ValueError(
                         f"aggregate needs ') AS ?alias )': {rest[:40]!r}"
                     )
                 alias = _check_user_name(am.group(1))
                 distinct_a = False
-                if dm := _re.match(r"^DISTINCT\s+", inner, _re.IGNORECASE):
+                if dm := re.match(r"^DISTINCT\s+", inner, re.IGNORECASE):
                     distinct_a = True
                     inner = inner[dm.end():].strip()
                 sep = " "
-                if sm := _re.search(r';\s*SEPARATOR\s*=\s*"([^"]*)"\s*$',
-                                    inner, _re.IGNORECASE):
+                if sm := re.search(r';\s*SEPARATOR\s*=\s*"([^"]*)"\s*$',
+                                    inner, re.IGNORECASE):
                     if func != "GROUP_CONCAT":
                         raise ValueError(
                             f"SEPARATOR is only valid in GROUP_CONCAT, "
@@ -584,7 +580,7 @@ def _parse_select(q: str) -> dict:
                     if func != "COUNT":
                         raise ValueError(f"{func}(*) is not valid SPARQL")
                     var = None
-                elif vm := _re.fullmatch(r"\?([A-Za-z_]\w*)", inner):
+                elif vm := re.fullmatch(r"\?([A-Za-z_]\w*)", inner):
                     var = vm.group(1)
                 else:
                     # aggregate over an EXPRESSION: materialized as a
@@ -600,8 +596,8 @@ def _parse_select(q: str) -> dict:
                 # over the group result just before projection
                 j = _match_paren(rest, 0)
                 body = rest[1:j].strip()
-                am = _re.search(r"\s+AS\s+\?([A-Za-z_]\w*)\s*$", body,
-                                _re.IGNORECASE)
+                am = re.search(r"\s+AS\s+\?([A-Za-z_]\w*)\s*$", body,
+                                re.IGNORECASE)
                 if not am:
                     raise ValueError(
                         f"projection expression needs AS ?alias: {body!r}"
@@ -618,11 +614,11 @@ def _parse_select(q: str) -> dict:
             raise ValueError("SELECT needs ?vars, aggregates, or *")
     from_graphs: list = []
     from_named: list = []
-    while m := _re.match(r"^FROM\s+(NAMED\s+)?<([^<>\s]*)>", rest,
-                         _re.IGNORECASE):
+    while m := re.match(r"^FROM\s+(NAMED\s+)?<([^<>\s]*)>", rest,
+                         re.IGNORECASE):
         (from_named if m.group(1) else from_graphs).append(m.group(2))
         rest = rest[m.end():].lstrip()
-    if not _re.match(r"^WHERE\b", rest, _re.IGNORECASE):
+    if not re.match(r"^WHERE\b", rest, re.IGNORECASE):
         raise ValueError(f"expected WHERE in SELECT query: {rest!r}")
     rest = rest[len("WHERE"):].lstrip()
     if not rest.startswith("{"):
@@ -633,11 +629,11 @@ def _parse_select(q: str) -> dict:
     group_by, order_by, limit, offset = None, None, None, 0
     having: list = []
     while tail:
-        if m := _re.match(r"^GROUP\s+BY\b", tail, _re.IGNORECASE):
+        if m := re.match(r"^GROUP\s+BY\b", tail, re.IGNORECASE):
             group_by, tail = _take_group_keys(tail[m.end():].lstrip())
             if not group_by:
                 raise ValueError("GROUP BY needs group conditions")
-        elif m := _re.match(r"^HAVING\s*\(", tail, _re.IGNORECASE):
+        elif m := re.match(r"^HAVING\s*\(", tail, re.IGNORECASE):
             start = m.end() - 1
             j = _match_paren(tail, start)
             hexpr = _hoist_having_aggs(
@@ -645,17 +641,17 @@ def _parse_select(q: str) -> dict:
             )
             having.append(_parse_filter(hexpr))
             tail = tail[j + 1:].strip()
-        elif m := _re.match(r"^ORDER\s+BY\b", tail, _re.IGNORECASE):
+        elif m := re.match(r"^ORDER\s+BY\b", tail, re.IGNORECASE):
             order_by, tail = _take_order_keys(tail[m.end():].lstrip())
             if not order_by:
                 raise ValueError("ORDER BY needs ?vars or ASC/DESC(?var)")
-        elif m := _re.match(r"^LIMIT\s+(\d+)", tail, _re.IGNORECASE):
+        elif m := re.match(r"^LIMIT\s+(\d+)", tail, re.IGNORECASE):
             limit = int(m.group(1))
             tail = tail[m.end():].strip()
-        elif m := _re.match(r"^OFFSET\s+(\d+)", tail, _re.IGNORECASE):
+        elif m := re.match(r"^OFFSET\s+(\d+)", tail, re.IGNORECASE):
             offset = int(m.group(1))
             tail = tail[m.end():].strip()
-        elif m := _re.match(r"^VALUES\b", tail, _re.IGNORECASE):
+        elif m := re.match(r"^VALUES\b", tail, re.IGNORECASE):
             # trailing VALUES (always last in the grammar): joins the
             # group's solutions before the modifiers — the same join the
             # in-group form performs, so it reuses group["values"]
@@ -719,8 +715,6 @@ def _match_paren(s: str, i: int) -> int:
 
 
 def _parse_group_body(body: str) -> dict:
-    import re as _re
-
     group = {"patterns": [], "filters": [], "optionals": [], "unions": [],
              "values": [], "binds": [], "minus": [], "exists": [],
              "graphs": [], "subqueries": [], "services": []}
@@ -730,7 +724,7 @@ def _parse_group_body(body: str) -> dict:
             j = _match_brace(clause, 0)
             inner = clause[1:j].strip()
             after = clause[j + 1:].strip()
-            if not after and _re.match(r"^SELECT\b", inner, _re.IGNORECASE):
+            if not after and re.match(r"^SELECT\b", inner, re.IGNORECASE):
                 # subquery: evaluated bottom-up, independent of outer
                 # bindings, then joined on its projected variables
                 sub = parse_query(inner)
@@ -764,7 +758,7 @@ def _parse_group_body(body: str) -> dict:
             group["graphs"].append((gterm, sub))
         elif up.startswith("FILTER"):
             inner = clause[len("FILTER"):].strip()
-            if m := _re.match(r"^(NOT\s+)?EXISTS\b", inner, _re.IGNORECASE):
+            if m := re.match(r"^(NOT\s+)?EXISTS\b", inner, re.IGNORECASE):
                 sub = inner[m.end():].strip()
                 if not (sub.startswith("{") and sub.endswith("}")
                         and _match_brace(sub, 0) == len(sub) - 1):
@@ -1098,7 +1092,6 @@ def _parse_bind(rest: str):
     grammar is the full FILTER operand grammar: terms, accessor calls,
     arithmetic, ``IF`` and ``COALESCE``; numeric results bind as
     decorated numeric literals."""
-    import re as _re
 
     rest = rest.strip()
     if not rest.startswith("(") or _match_paren(rest, 0) != len(rest) - 1:
@@ -1106,7 +1099,7 @@ def _parse_bind(rest: str):
     body = rest[1:-1].strip()
     # the target anchors at the end, so an " AS ?x" inside a quoted
     # literal can never match
-    m = _re.search(r"\s+AS\s+\?([A-Za-z_]\w*)\s*$", body, _re.IGNORECASE)
+    m = re.search(r"\s+AS\s+\?([A-Za-z_]\w*)\s*$", body, re.IGNORECASE)
     if not m:
         raise ValueError(f"BIND needs 'expr AS ?var': {body!r}")
     return (_check_user_name(m.group(1)),
@@ -1235,7 +1228,6 @@ def _parse_filter(s: str):
 
 def _ensure_filter_res():
     global _FUNC_CALL_RE, _REGEX_CALL_RE
-    import re
 
     if _REGEX_CALL_RE is None:
         _FUNC_CALL_RE = re.compile(
@@ -1289,8 +1281,6 @@ _TYPE_TESTS = {"isiri": "iri", "isuri": "iri", "isliteral": "lit",
 
 
 def _parse_filter_atom(s: str):
-    import re
-
     _ensure_filter_res()
     s = s.strip()
     if m := re.match(r"^(NOT\s+)?EXISTS\s*\{", s, re.IGNORECASE):
@@ -1411,7 +1401,6 @@ def _parse_filter_operand(t: str):
     ``IF``'s condition is a full FILTER expression. Numeric operators
     evaluate on SPARQL-numeric values (an error — unbound, non-numeric,
     division by zero — makes the row's value an error per SPARQL)."""
-    import re
 
     s = t.strip()
     pos = [0]
@@ -1692,7 +1681,6 @@ _NUM_RE = None
 def _parse_operand(t: str):
     global _NUM_RE
     if _NUM_RE is None:
-        import re
 
         _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     if _NUM_RE.match(t):
@@ -1799,10 +1787,9 @@ def _parse_term(t: str):
         # CONSTRUCT templates. (Strict SPARQL additionally forbids
         # reusing one label across two group scopes; here the label
         # simply names the same hidden variable.)
-        import re as _re
         # no dots: the group splitter treats top-level '.' as a clause
         # separator, so dotted labels could never reach here intact
-        if not _re.fullmatch(r"[A-Za-z0-9_-]+", t[2:]) or "__" in t[2:]:
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", t[2:]) or "__" in t[2:]:
             raise ValueError(f"bad blank node label: {t!r}")
         return ("var", "__bn_" + t[2:])
     raise ValueError(f"bad term: {t!r}")
@@ -2079,9 +2066,9 @@ def tagged_wire(df: pd.DataFrame) -> str:
     whitespace, and native BIND-arithmetic numbers all survive, unlike
     the W3C result formats, which serialize finalized values and cannot
     carry kind for IRI-shaped plain literals."""
+    cols = [[_wire_cell(v) for v in col] for col in _column_lists(df)]
     lines = ["\t".join(df.columns)]
-    for _, row in df.iterrows():
-        lines.append("\t".join(_wire_cell(row[c]) for c in df.columns))
+    lines.extend("\t".join(row) for row in _rows(cols, len(df)))
     return "\n".join(lines) + "\n"
 
 
@@ -3671,7 +3658,6 @@ def _series_parts(s: pd.Series):
     pandas string kernels."""
     global _DEC_EXTRACT
     if _DEC_EXTRACT is None:
-        import re
 
         _DEC_EXTRACT = re.compile(
             r'^"((?:[^"\\\n\r\t]|\\["\\nrt])*)"'
@@ -4337,7 +4323,6 @@ def _filter_mask(result: pd.DataFrame, flt) -> pd.Series:
         _, arg, pattern, flags = flt
         s, _ = _operand_series(arg, result)
         lex, _n, _d, _l, is_lit = _series_parts(s)
-        import re
 
         f = 0
         if "i" in flags:
@@ -4394,33 +4379,74 @@ def _apply_filters(result: pd.DataFrame, filters) -> pd.DataFrame:
     return result
 
 
+def _column_lists(df: pd.DataFrame) -> list:
+    """One plain Python list per column, in column order: ``tolist()``
+    yields ``str``/``None`` as stored and ``int``/``float`` for numeric
+    columns, so no value is boxed per row and an all-numeric row is
+    never upcast to float the way ``iterrows`` does."""
+    return [df.iloc[:, i].tolist() for i in range(df.shape[1])]
+
+
+def _rows(cols: list, n: int):
+    """The rows of per-column lists ``cols``; a zero-column answer still
+    has its ``n`` (empty) rows."""
+    return zip(*cols) if cols else [()] * n
+
+
+def _json_value(v) -> str:
+    return encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
+
+
 def bindings_json(df: pd.DataFrame) -> str:
-    """SPARQL-JSON-shaped serialization (``src/query.rs:110-113`` analog)."""
-    out = {
-        "head": {"vars": list(df.columns)},
-        "results": {
-            "bindings": [
-                {c: {"value": row[c]} for c in df.columns if row[c] is not None}
-                for _, row in df.iterrows()
-            ]
-        },
-    }
-    return json.dumps(out, sort_keys=True)
+    """SPARQL-JSON-shaped serialization (``src/query.rs:110-113`` analog):
+    ``{"head": {"vars": [...]}, "results": {"bindings": [...]}}`` with one
+    ``{var: {"value": v}}`` object per row, unbound variables omitted. The
+    text is what ``json.dumps(..., sort_keys=True)`` gives for it (keys
+    sorted, non-ASCII escaped), built from the columns directly. Strings
+    render as JSON strings, aggregate numbers as JSON numbers (``431``,
+    ``1963.2296983758702``, ``NaN``, ``Infinity``) and the ASK boolean as
+    ``true``/``false``."""
+    names = list(df.columns)
+    cols = _column_lists(df)
+    cells = []
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        key = f'{encode_basestring_ascii(names[i])}: {{"value": '
+        cells.append([None if v is None else key + _json_value(v) + "}"
+                      for v in cols[i]])
+    rows = ", ".join("{" + ", ".join([c for c in row if c is not None]) + "}"
+                     for row in _rows(cells, len(df)))
+    return (f'{{"head": {{"vars": {json.dumps(names)}}}, '
+            f'"results": {{"bindings": [{rows}]}}}}')
 
 
 def bindings_csv(df: pd.DataFrame) -> str:
     """W3C SPARQL 1.1 Query Results CSV: header of variable names, one
     row per solution, unbound = empty field, RFC-4180 quoting, CRLF
-    line ends."""
-    import csv
-    import io
-
+    line ends. A number is written as Python prints it (``431``,
+    ``1963.2296983758702``)."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
     w.writerow(df.columns)
-    for _, row in df.iterrows():
-        w.writerow(["" if row[c] is None else row[c] for c in df.columns])
+    w.writerows(_rows(_column_lists(df), len(df)))  # None → empty field
     return buf.getvalue()
+
+
+_IRI_LIKE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:[^\s\"<>{}|^`\\]*$")
+
+
+def _turtle_number(v) -> str:
+    """A numeric cell in Turtle's number syntax: ``true``/``false``, an
+    integer, or a float's shortest repr (``1963.2296983758702``,
+    ``1e+20``). NaN and ±inf have no bare form, so they become typed
+    ``xsd:double`` literals (``"NaN"``, ``"INF"``, ``"-INF"``)."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if math.isfinite(v):
+        return repr(v)
+    lex = "NaN" if math.isnan(v) else ("INF" if v > 0 else "-INF")
+    return f'"{lex}"^^<{_XSD_DOUBLE}>'
 
 
 def bindings_tsv(df: pd.DataFrame) -> str:
@@ -4430,27 +4456,26 @@ def bindings_tsv(df: pd.DataFrame) -> str:
     strings, so term syntax is reconstructed the same way the engine
     distinguishes terms: decorated literals pass through, everything
     else is typed by the column's provenance being lost — emit IRIs for
-    absolute-IRI-shaped values and plain quoted literals otherwise."""
+    absolute-IRI-shaped values and plain quoted literals otherwise.
+    Numbers take Turtle's number syntax (:func:`_turtle_number`)."""
     from ..ntriples import escape_literal, is_decorated_literal
-
-    import re as _re
-
-    iri_like = _re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:[^\s\"<>{}|^`\\]*$")
 
     def term(v):
         if v is None:
             return ""
+        if not isinstance(v, str):
+            return _turtle_number(v)
         if is_decorated_literal(v):
             return v
         if v.startswith("_:"):
             return v
-        if iri_like.match(v):
+        if _IRI_LIKE.match(v):
             return f"<{v}>"
         return f'"{escape_literal(v)}"'
 
+    cols = [[term(v) for v in col] for col in _column_lists(df)]
     lines = ["\t".join(f"?{c}" for c in df.columns)]
-    for _, row in df.iterrows():
-        lines.append("\t".join(term(row[c]) for c in df.columns))
+    lines.extend("\t".join(row) for row in _rows(cols, len(df)))
     return "\n".join(lines) + "\n"
 
 

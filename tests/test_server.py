@@ -245,6 +245,57 @@ def test_sparql_content_negotiation(server):
     assert body.splitlines()[0] == "?s\t?o"
 
 
+def test_numeric_answers_render_in_every_format(ray_session, tmp_path):
+    """Aggregate answers hold numbers, not strings: the single reader and
+    the router render them in JSON, CSV and TSV (a count stays an
+    integer beside a float average), and the server answers them with
+    200 in each format."""
+    from rdf_diff_store_ray.query.bgp import DiffStoreReader
+    from rdf_diff_store_ray.query.service import QueryService
+    from rdf_diff_store_ray.server import DiffStoreServer
+    from rdf_diff_store_ray.stages.deltas import read_log
+    from rdf_diff_store_ray.state.append import append_graphs, init_log
+
+    xsd = "http://www.w3.org/2001/XMLSchema#integer"
+    store = init_log(str(tmp_path / "deltas"), num_partitions=2)
+    append_graphs(store, {
+        f"g{i}": f'<https://x/s{i}> <https://x/v> "{v}"^^<{xsd}> .\n'
+        for i, v in enumerate((1, 2, 2))}, T1)
+    count = "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }"
+    both = ("SELECT (COUNT(?o) AS ?n) (AVG(?o) AS ?a) "
+            "WHERE { ?s <https://x/v> ?o }")
+    want = {
+        (count, "json"): '{"head": {"vars": ["n"]}, '
+                         '"results": {"bindings": [{"n": {"value": 3}}]}}',
+        (count, "csv"): "n\r\n3\r\n",
+        (count, "tsv"): "?n\n3\n",
+        (both, "json"): '{"head": {"vars": ["n", "a"]}, "results": '
+                        '{"bindings": [{"a": {"value": 1.6666666666666667}, '
+                        '"n": {"value": 3}}]}}',
+        (both, "csv"): "n,a\r\n3,1.6666666666666667\r\n",
+        (both, "tsv"): "?n\t?a\n3\t1.6666666666666667\n",
+    }
+    svc = QueryService(store)
+    try:
+        for door in (DiffStoreReader(read_log(store)), svc):
+            for (q, fmt), body in want.items():
+                assert door.answer(T2, q, fmt)[0] == body, (door, q, fmt)
+    finally:
+        svc.shutdown()
+
+    srv = DiffStoreServer(store, now_fn=lambda: T3).start()
+    url = (f"http://127.0.0.1:{srv.port}/api/sparql/{T2}?query="
+           + urllib.parse.quote(count))
+    try:
+        for fmt, accept in (("json", "application/json"),
+                            ("csv", "text/csv"),
+                            ("tsv", "text/tab-separated-values")):
+            st, _, body = _req("GET", url, headers={"Accept": accept})
+            assert (st, body) == (200, want[count, fmt]), fmt
+    finally:
+        srv.shutdown()
+
+
 def test_w3c_sparql_protocol_endpoint(server):
     """/sparql implements the W3C protocol shapes — GET ?query= and
     POST with an application/sparql-query (or form-encoded) body —
